@@ -12,13 +12,14 @@
 
 use crate::clock::{Clock, RealClock};
 use crate::engine::{
-    admit_to_queue, response_channel, Dispatcher, ForecastRequest, Registry, ResponseHandle,
-    ServeError, TenantMeta,
+    admit_to_queue, response_channel, Dispatcher, Forecast, ForecastRequest, Registry,
+    ResponseHandle, ServeError, TenantMeta,
 };
 use crate::http;
 use crate::queue::{Bounded, PopResult};
 use sagdfn_json::Json;
 use sagdfn_obs as obs;
+use std::fmt::Write as _;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -307,6 +308,11 @@ struct HandlerShared {
 }
 
 fn handle_connection(stream: TcpStream, hs: &HandlerShared) {
+    // Each response is one write (`http::write_response`); with Nagle on,
+    // a response larger than one segment would still hold its tail until
+    // the client's delayed ACK (~40 ms on keep-alive). A socket that
+    // refuses the option still serves, only slower.
+    let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -414,67 +420,55 @@ fn forecast(req: &http::Request, hs: &HandlerShared) -> (u16, String) {
         return (err.status(), error_body(&err.message()));
     }
     match handle.wait() {
-        Ok(fc) => {
-            let mut body = String::with_capacity(fc.values.len() * 8 + 64);
-            body.push_str("{\"model\":");
-            body.push_str(&Json::from(m.name.as_str()).to_compact().unwrap_or_default());
-            body.push_str(&format!(",\"start\":{},\"forecast\":[", start + m.h as u64));
-            for t in 0..fc.f {
-                if t > 0 {
-                    body.push(',');
-                }
-                body.push('[');
-                for node in 0..fc.n {
-                    if node > 0 {
-                        body.push(',');
-                    }
-                    // Debug-format floats: shortest digits that
-                    // round-trip, so clients recover the exact f32.
-                    body.push_str(&format!("{:?}", fc.values[t * fc.n + node]));
-                }
-                body.push(']');
-            }
-            body.push(']');
-            // Quantile-head tenants additionally ship the levels and the
-            // full per-node quantile rows; point clients ignore them.
-            if let Some(quants) = &fc.quantiles {
-                let q = fc.levels.len();
-                body.push_str(",\"levels\":[");
-                for (i, lv) in fc.levels.iter().enumerate() {
-                    if i > 0 {
-                        body.push(',');
-                    }
-                    body.push_str(&format!("{lv:?}"));
-                }
-                body.push_str("],\"quantiles\":[");
-                for t in 0..fc.f {
-                    if t > 0 {
-                        body.push(',');
-                    }
-                    body.push('[');
-                    for node in 0..fc.n {
-                        if node > 0 {
-                            body.push(',');
-                        }
-                        body.push('[');
-                        let base = (t * fc.n + node) * q;
-                        for (i, v) in quants[base..base + q].iter().enumerate() {
-                            if i > 0 {
-                                body.push(',');
-                            }
-                            body.push_str(&format!("{v:?}"));
-                        }
-                        body.push(']');
-                    }
-                    body.push(']');
-                }
-                body.push(']');
-            }
-            body.push('}');
-            (200, body)
-        }
+        Ok(fc) => (200, encode_forecast(&m.name, start + m.h as u64, &fc)),
         Err(err) => (err.status(), error_body(&err.message())),
     }
+}
+
+/// The forecast response body. Floats are Debug-formatted — the
+/// shortest digits that round-trip, so clients recover the exact f32 —
+/// and written straight into the body, never through a per-value
+/// `String`. Quantile-head tenants additionally ship the levels and the
+/// full per-node quantile rows; point clients ignore them.
+fn encode_forecast(model: &str, start: u64, fc: &Forecast) -> String {
+    let mut body = String::with_capacity(fc.values.len() * 12 + 64);
+    let name = Json::from(model).to_compact().unwrap_or_default();
+    // Writing into a `String` cannot fail.
+    let _ = write!(body, "{{\"model\":{name},\"start\":{start},\"forecast\":");
+    push_array(&mut body, &fc.values, &[fc.f, fc.n]);
+    if let Some(quants) = &fc.quantiles {
+        body.push_str(",\"levels\":");
+        push_array(&mut body, &fc.levels, &[fc.levels.len()]);
+        body.push_str(",\"quantiles\":");
+        push_array(&mut body, quants, &[fc.f, fc.n, fc.levels.len()]);
+    }
+    body.push('}');
+    body
+}
+
+/// Appends row-major `values` of shape `dims` as nested JSON arrays.
+fn push_array(out: &mut String, values: &[f32], dims: &[usize]) {
+    out.push('[');
+    match dims {
+        [_, inner @ ..] if !inner.is_empty() => {
+            let stride: usize = inner.iter().product();
+            for (i, row) in values.chunks(stride.max(1)).enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_array(out, row, inner);
+            }
+        }
+        _ => {
+            for (i, v) in values.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "{v:?}");
+            }
+        }
+    }
+    out.push(']');
 }
 
 type ForecastFields = (String, u64, Vec<f32>, Option<u64>);
@@ -503,4 +497,38 @@ fn parse_forecast(j: &Json) -> Result<ForecastFields, String> {
         None => None,
     };
     Ok((model, start, history, timeout_ms))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn forecast_body_bytes_are_pinned() {
+        let point = Forecast {
+            values: vec![1.0, -0.5, 0.1, 3e-8, 42.25, f32::MAX],
+            quantiles: None,
+            levels: Vec::new(),
+            f: 2,
+            n: 3,
+        };
+        assert_eq!(
+            encode_forecast("m\"x", 7, &point),
+            "{\"model\":\"m\\\"x\",\"start\":7,\"forecast\":\
+             [[1.0,-0.5,0.1],[3e-8,42.25,3.4028235e38]]}"
+        );
+
+        let quantile = Forecast {
+            values: vec![2.0, 5.0],
+            quantiles: Some(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+            levels: vec![0.1, 0.5, 0.9],
+            f: 1,
+            n: 2,
+        };
+        assert_eq!(
+            encode_forecast("q", 0, &quantile),
+            "{\"model\":\"q\",\"start\":0,\"forecast\":[[2.0,5.0]],\
+             \"levels\":[0.1,0.5,0.9],\"quantiles\":[[[1.0,2.0,3.0],[4.0,5.0,6.0]]]}"
+        );
+    }
 }

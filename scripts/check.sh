@@ -15,6 +15,12 @@ echo "== cargo test -q =="
 cargo test -q
 
 echo
+echo "== serve and CLI crate tests =="
+# The root package's suite does not reach in-crate tests; these hold
+# the HTTP framing, the loopback round-trip and the CLI's serve test.
+cargo test -q --release -p sagdfn-serve -p sagdfn-cli
+
+echo
 echo "== cargo clippy -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
