@@ -95,8 +95,7 @@ impl Forecaster for FedLite {
                 .map(|t| scaler.transform_scalar(input.as_slice()[t * n + node]))
                 .collect();
             let start_step = windows.starts()[w];
-            let tod = windows.dataset().time_of_day(start_step + h);
-            let dow = windows.dataset().day_of_week(start_step + h);
+            let (tod, dow) = windows.dataset().clock().covariates((start_step + h) as u64);
             let x = Self::features(&scaled, tod, dow);
             for i in 0..dim {
                 let xi = x[i];
@@ -143,8 +142,7 @@ impl Forecaster for FedLite {
         for w in 0..num {
             let (input, target) = windows.raw_window(w);
             let start_step = windows.starts()[w];
-            let tod = windows.dataset().time_of_day(start_step + h);
-            let dow = windows.dataset().day_of_week(start_step + h);
+            let (tod, dow) = windows.dataset().clock().covariates((start_step + h) as u64);
             for node in 0..n {
                 let scaled: Vec<f32> = (0..h)
                     .map(|t| scaler.transform_scalar(input.as_slice()[t * n + node]))

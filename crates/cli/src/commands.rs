@@ -345,7 +345,7 @@ pub fn stream(args: &[String]) -> Result<(), String> {
 
     let start = parse_num(&flags, "start", 0usize)?;
     let max_ticks = parse_num(&flags, "ticks", data.steps().saturating_sub(start))?;
-    let mut cfg = StreamConfig::new(meta.h, meta.f).from_env();
+    let mut cfg = StreamConfig::new(meta.h, meta.f);
     if let Some(v) = flags.get("fine-tune") {
         cfg.fine_tune = matches!(v.as_str(), "1" | "on" | "true");
     }

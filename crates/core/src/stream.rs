@@ -13,9 +13,11 @@
 //! 2. **State updates** — the raw ring buffer and the incremental
 //!    [`RunningZScore`] absorb the tick in O(N).
 //! 3. **A fresh forecast** — the rolling history window is rebuilt *in
-//!    place* into a persistent single-sample batch and dispatched through
-//!    [`Sagdfn::predict_batch_into`]. The compiled eval plan is keyed on
-//!    weights + shape only, so scaler drift triggers a cheap
+//!    place* into a persistent single-sample batch by
+//!    [`Batch::encode_window`], the encoding training uses, and
+//!    dispatched through [`Sagdfn::predict_batch_into`]. The compiled
+//!    eval plan is keyed on weights + shape only, so scaler drift
+//!    triggers a cheap
 //!    [`rebind`](crate::plan::PlanExecutor::rebind_scaler) of the baked
 //!    affine coefficients instead of a recompile: steady-state ticks
 //!    perform **zero allocator acquires** (pinned by `tests/stream.rs`).
@@ -30,17 +32,13 @@
 
 use crate::model::Sagdfn;
 use sagdfn_autodiff::Tape;
-use sagdfn_data::{Batch, RunningZScore, ZScore};
+use sagdfn_data::{Batch, Clock, RunningZScore, ZScore};
 use sagdfn_nn::{Adam, Mode, Optimizer};
 use sagdfn_obs as obs;
 use sagdfn_tensor::Tensor;
 
-const MIN_PER_DAY: u64 = 24 * 60;
-const MIN_PER_WEEK: u64 = 7 * MIN_PER_DAY;
-
 /// Streaming-loop configuration. Start from [`StreamConfig::new`], then
-/// override fields or apply the `SAGDFN_STREAM_*` env vars via
-/// [`StreamConfig::from_env`].
+/// override fields.
 #[derive(Clone, Copy, Debug)]
 pub struct StreamConfig {
     /// History window length `h` the model consumes.
@@ -53,9 +51,9 @@ pub struct StreamConfig {
     /// Effective observation count the training scaler is worth when
     /// seeding the running statistics: higher = slower drift.
     pub scaler_memory: f64,
-    /// Enable continual fine-tuning (`SAGDFN_STREAM_FT`).
+    /// Enable continual fine-tuning.
     pub fine_tune: bool,
-    /// Fine-tune burst cadence in ticks (`SAGDFN_STREAM_FT_EVERY`).
+    /// Fine-tune burst cadence in ticks.
     pub ft_every: usize,
     /// Gradient steps per burst.
     pub ft_steps: usize,
@@ -83,22 +81,6 @@ impl StreamConfig {
             lr: 1e-3,
             anomaly_z: 4.0,
         }
-    }
-
-    /// Applies the `SAGDFN_STREAM_FT` (`on`/`off`/`1`/`0`) and
-    /// `SAGDFN_STREAM_FT_EVERY` (ticks ≥ 1) environment overrides.
-    pub fn from_env(mut self) -> Self {
-        if let Ok(v) = std::env::var("SAGDFN_STREAM_FT") {
-            self.fine_tune = matches!(v.as_str(), "1" | "on" | "true");
-        }
-        if let Ok(v) = std::env::var("SAGDFN_STREAM_FT_EVERY") {
-            if let Ok(k) = v.parse::<usize>() {
-                if k >= 1 {
-                    self.ft_every = k;
-                }
-            }
-        }
-        self
     }
 }
 
@@ -136,8 +118,7 @@ pub struct StreamEngine {
     head_row: usize,
     fill: usize,
     ticks: u64,
-    interval_min: u64,
-    start_minute: u64,
+    clock: Clock,
     /// Persistent single-sample batches, rewritten in place per tick.
     batch: Batch,
     train_batch: Batch,
@@ -167,12 +148,6 @@ impl StreamEngine {
         let n = model.n();
         let (h, f) = (cfg.h, cfg.f);
         let out = Tensor::zeros(model.output_dims(f, 1).as_slice());
-        let make_batch = || Batch {
-            x: Tensor::zeros([h, 1, n, 3]),
-            y: Tensor::zeros([f, 1, n]),
-            x_last_raw: Tensor::zeros([1, n]),
-            future_cov: Tensor::zeros([f, 1, n, 2]),
-        };
         let lr = cfg.lr;
         let grad_clip = model.config().grad_clip;
         StreamEngine {
@@ -184,10 +159,9 @@ impl StreamEngine {
             head_row: 0,
             fill: 0,
             ticks: 0,
-            interval_min: u64::from(interval_min),
-            start_minute: u64::from(start_minute_of_week) % MIN_PER_WEEK,
-            batch: make_batch(),
-            train_batch: make_batch(),
+            clock: Clock::new(interval_min, start_minute_of_week),
+            batch: Batch::zeros(h, f, 1, n),
+            train_batch: Batch::zeros(h, f, 1, n),
             out,
             have_forecast: false,
             bounds: vec![
@@ -260,8 +234,7 @@ impl StreamEngine {
         }
         // 4. Forecast from the newest h rows.
         if self.fill >= self.cfg.h {
-            self.rebuild_forecast_batch();
-            let snap = self.scaler.snapshot();
+            let snap = self.rebuild_batch(false);
             self.model
                 .predict_batch_into(&self.batch, snap, &mut self.out);
             self.have_forecast = true;
@@ -366,101 +339,30 @@ impl StreamEngine {
         self.ticks += 1;
     }
 
-    /// Time covariates of the absolute stream step `step` (tick 0 sits at
-    /// the configured anchor minute).
-    fn covariates(&self, step: u64) -> (f32, f32) {
-        let minute = (self.start_minute + step * self.interval_min) % MIN_PER_WEEK;
-        let tod = (minute % MIN_PER_DAY) as f32 / MIN_PER_DAY as f32;
-        let dow = (minute / MIN_PER_DAY) as f32 / 7.0;
-        (tod, dow)
-    }
-
-    /// Rewrites the persistent forecast batch from the newest `h` ring
-    /// rows: scaled values + covariates, forecast-origin raw row, and the
-    /// future covariates of the next `f` steps. No allocation.
-    fn rebuild_forecast_batch(&mut self) {
-        let (h, f, n) = (self.cfg.h, self.cfg.f, self.n);
-        let cap = h + f;
+    /// Rewrites one persistent batch in place from the ring and returns
+    /// the scaler it normalized with: the forecast batch from the newest
+    /// `h` rows, or (`train`) the training batch from the full `h + f`
+    /// window, oldest `h` rows as inputs and newest `f` as targets. The
+    /// ring is borrowed field by field, so nothing is allocated.
+    fn rebuild_batch(&mut self, train: bool) -> ZScore {
+        let (h, n) = (self.cfg.h, self.n);
+        let cap = h + self.cfg.f;
+        let len = if train { cap } else { h };
+        debug_assert!(self.fill >= len);
         let snap = self.scaler.snapshot();
-        // Field-level borrow of the ring so the batch tensors stay free
-        // for mutation below.
-        let (ring, head_row) = (&self.ring, self.head_row);
-        let row_at = |r: usize| {
-            let phys = (head_row + r) % cap;
+        let (ring, first) = (&self.ring, self.head_row + self.fill - len);
+        let row = |t: usize| {
+            let phys = (first + t) % cap;
             &ring[phys * n..(phys + 1) * n]
         };
-        let oldest = self.fill - h; // ring offset of the window's first row
-        // Absolute step of that first row (ticks rows pushed: 0..ticks-1).
-        let base_step = self.ticks - h as u64;
-        for t in 0..h {
-            let row = row_at(oldest + t);
-            let (tod, dow) = self.covariates(base_step + t as u64);
-            let x = self.batch.x.as_mut_slice();
-            for (node, &v) in row.iter().enumerate() {
-                let at = (t * n + node) * 3;
-                x[at] = snap.transform_scalar(v);
-                x[at + 1] = tod;
-                x[at + 2] = dow;
-            }
-        }
-        self.batch
-            .x_last_raw
-            .as_mut_slice()
-            .copy_from_slice(row_at(self.fill - 1));
-        for t in 0..f {
-            let (tod, dow) = self.covariates(self.ticks + t as u64);
-            let fut = self.batch.future_cov.as_mut_slice();
-            for node in 0..n {
-                let at = (t * n + node) * 2;
-                fut[at] = tod;
-                fut[at + 1] = dow;
-            }
-        }
-    }
-
-    /// Rewrites the persistent training batch from the full `h + f` ring
-    /// window (inputs: oldest `h` rows, targets: newest `f`) and returns
-    /// the scaler it normalized with.
-    fn rebuild_train_batch(&mut self) -> ZScore {
-        let (h, f, n) = (self.cfg.h, self.cfg.f, self.n);
-        let cap = h + f;
-        debug_assert_eq!(self.fill, cap);
-        let snap = self.scaler.snapshot();
-        let (ring, head_row) = (&self.ring, self.head_row);
-        let row_at = |r: usize| {
-            let phys = (head_row + r) % cap;
-            &ring[phys * n..(phys + 1) * n]
+        // Ticks pushed so far occupy absolute steps 0..ticks.
+        let first_step = self.ticks - len as u64;
+        let batch = if train {
+            &mut self.train_batch
+        } else {
+            &mut self.batch
         };
-        let base_step = self.ticks - self.fill as u64;
-        for t in 0..h {
-            let row = row_at(t);
-            let (tod, dow) = self.covariates(base_step + t as u64);
-            let x = self.train_batch.x.as_mut_slice();
-            for (node, &v) in row.iter().enumerate() {
-                let at = (t * n + node) * 3;
-                x[at] = snap.transform_scalar(v);
-                x[at + 1] = tod;
-                x[at + 2] = dow;
-            }
-        }
-        self.train_batch
-            .x_last_raw
-            .as_mut_slice()
-            .copy_from_slice(row_at(h - 1));
-        for t in 0..f {
-            let row = row_at(h + t);
-            let (tod, dow) = self.covariates(base_step + (h + t) as u64);
-            {
-                let y = self.train_batch.y.as_mut_slice();
-                y[t * n..(t + 1) * n].copy_from_slice(row);
-            }
-            let fut = self.train_batch.future_cov.as_mut_slice();
-            for node in 0..n {
-                let at = (t * n + node) * 2;
-                fut[at] = tod;
-                fut[at + 1] = dow;
-            }
-        }
+        batch.encode_window(0, first_step, self.clock, snap, row, train);
         snap
     }
 
@@ -469,7 +371,7 @@ impl StreamEngine {
     /// resampling (the index set stays frozen online). Each step
     /// invalidates the eval plan — the next forecast recompiles once.
     fn fine_tune_burst(&mut self) {
-        let snap = self.rebuild_train_batch();
+        let snap = self.rebuild_batch(true);
         for _ in 0..self.cfg.ft_steps {
             self.tape.reset();
             let bind = self.model.params.bind(&self.tape);

@@ -30,6 +30,6 @@ pub use diagnostics::{inspect, DatasetReport};
 pub use metrics::{average, horizon_metrics, node_metrics, prob_metrics, Metrics, ProbMetrics};
 pub use presets::{carpark_like, city2000_like, metr_la_like, Scale};
 pub use scaler::{RunningZScore, ZScore};
-pub use series::ForecastDataset;
+pub use series::{Clock, ForecastDataset};
 pub use synth::{DriftConfig, DriftKind, TickStream};
 pub use window::{Batch, SlidingWindows, SplitSpec, ThreeWaySplit};

@@ -2,10 +2,50 @@
 
 use sagdfn_tensor::Tensor;
 
-/// Minutes per day/week, used to derive the time covariates the paper's
-/// Definition 3 mentions (time of day, day of week).
-const MIN_PER_DAY: u32 = 24 * 60;
-const MIN_PER_WEEK: u32 = 7 * MIN_PER_DAY;
+/// Minutes per day / per week: the periods of the time covariates the
+/// paper's Definition 3 mentions (time of day, day of week).
+const MIN_PER_DAY: u64 = 24 * 60;
+const MIN_PER_WEEK: u64 = 7 * MIN_PER_DAY;
+
+/// The step clock of a fixed-interval series: maps an absolute step
+/// index to its minute of week and its time covariates. Training,
+/// serving and streaming all read covariates through it, so the three
+/// agree bit for bit on every step.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Clock {
+    interval_min: u32,
+    start_minute_of_week: u32,
+}
+
+impl Clock {
+    /// A clock ticking every `interval_min` minutes whose step 0 falls on
+    /// `start_minute_of_week` (0 = Monday 00:00; reduced modulo a week).
+    pub fn new(interval_min: u32, start_minute_of_week: u32) -> Self {
+        assert!(interval_min > 0, "interval must be positive");
+        Clock {
+            interval_min,
+            start_minute_of_week: (u64::from(start_minute_of_week) % MIN_PER_WEEK) as u32,
+        }
+    }
+
+    /// Minute of week of step `step`. Exact for every `u64` step: the
+    /// step is reduced modulo a week first, so the product cannot
+    /// overflow.
+    pub fn minute_of_week(&self, step: u64) -> u32 {
+        let minutes = (step % MIN_PER_WEEK) * u64::from(self.interval_min)
+            + u64::from(self.start_minute_of_week);
+        (minutes % MIN_PER_WEEK) as u32
+    }
+
+    /// `(time of day, day of week)` of step `step`, each in `[0, 1)`
+    /// (Monday = 0).
+    pub fn covariates(&self, step: u64) -> (f32, f32) {
+        let minute = u64::from(self.minute_of_week(step));
+        let tod = (minute % MIN_PER_DAY) as f32 / MIN_PER_DAY as f32;
+        let dow = (minute / MIN_PER_DAY) as f32 / 7.0;
+        (tod, dow)
+    }
+}
 
 /// A complete multivariate time series: `T` steps × `N` nodes of scalar
 /// observations recorded at a fixed interval, plus the wall-clock anchor
@@ -31,12 +71,11 @@ impl ForecastDataset {
         start_minute_of_week: u32,
     ) -> Self {
         assert_eq!(values.rank(), 2, "values must be (T, N)");
-        assert!(interval_min > 0, "interval must be positive");
         ForecastDataset {
             name: name.into(),
             values,
             interval_min,
-            start_minute_of_week: start_minute_of_week % MIN_PER_WEEK,
+            start_minute_of_week: Clock::new(interval_min, start_minute_of_week).minute_of_week(0),
         }
     }
 
@@ -50,16 +89,9 @@ impl ForecastDataset {
         self.values.dim(1)
     }
 
-    /// Time-of-day covariate at step `t`, in `[0, 1)`.
-    pub fn time_of_day(&self, t: usize) -> f32 {
-        let minute = (self.start_minute_of_week + t as u32 * self.interval_min) % MIN_PER_DAY;
-        minute as f32 / MIN_PER_DAY as f32
-    }
-
-    /// Day-of-week covariate at step `t`, in `[0, 1)` (Monday = 0).
-    pub fn day_of_week(&self, t: usize) -> f32 {
-        let minute = (self.start_minute_of_week + t as u32 * self.interval_min) % MIN_PER_WEEK;
-        (minute / MIN_PER_DAY) as f32 / 7.0
+    /// The step clock anchored at this dataset's first observation.
+    pub fn clock(&self) -> Clock {
+        Clock::new(self.interval_min, self.start_minute_of_week)
     }
 
     /// Restricts the dataset to the first `n` nodes — how the paper builds
@@ -81,10 +113,8 @@ impl ForecastDataset {
             name: self.name.clone(),
             values: self.values.slice_axis(0, start, end),
             interval_min: self.interval_min,
-            start_minute_of_week: (self.start_minute_of_week
-                + (start as u32 * self.interval_min))
-                % MIN_PER_WEEK,
-            }
+            start_minute_of_week: self.clock().minute_of_week(start as u64),
+        }
     }
 }
 
@@ -110,26 +140,45 @@ mod tests {
 
     #[test]
     fn time_of_day_wraps_daily() {
-        let d = ds(600, 1, 5); // 5-minute steps: 288 per day
-        assert_eq!(d.time_of_day(0), 0.0);
-        assert!((d.time_of_day(144) - 0.5).abs() < 1e-6); // noon
-        assert_eq!(d.time_of_day(288), 0.0); // next midnight
+        let c = Clock::new(5, 0); // 5-minute steps: 288 per day
+        assert_eq!(c.covariates(0).0, 0.0);
+        assert!((c.covariates(144).0 - 0.5).abs() < 1e-6); // noon
+        assert_eq!(c.covariates(288).0, 0.0); // next midnight
     }
 
     #[test]
     fn day_of_week_advances() {
-        let d = ds(24 * 8, 1, 60); // hourly steps
-        assert_eq!(d.day_of_week(0), 0.0);
-        assert!((d.day_of_week(24) - 1.0 / 7.0).abs() < 1e-6);
-        assert_eq!(d.day_of_week(24 * 7), 0.0); // wraps after a week
+        let c = Clock::new(60, 0); // hourly steps
+        assert_eq!(c.covariates(0).1, 0.0);
+        assert!((c.covariates(24).1 - 1.0 / 7.0).abs() < 1e-6);
+        assert_eq!(c.covariates(24 * 7).1, 0.0); // wraps after a week
     }
 
     #[test]
     fn start_offset_respected() {
         // Start on Tuesday 06:00 = (1 day + 6 h) * 60 min.
         let d = ForecastDataset::new("t", Tensor::zeros([10, 1]), 60, 30 * 60);
-        assert!((d.time_of_day(0) - 0.25).abs() < 1e-6);
-        assert!((d.day_of_week(0) - 1.0 / 7.0).abs() < 1e-6);
+        let (tod, dow) = d.clock().covariates(0);
+        assert!((tod - 0.25).abs() < 1e-6);
+        assert!((dow - 1.0 / 7.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn clock_is_exact_for_every_u64_step() {
+        // Reference: the unreduced minute count in u128, which cannot
+        // overflow for any u64 step and u32 interval.
+        let steps = [0, (1u64 << 32) - 1, 1 << 32, 858_993_460, u64::MAX];
+        for (interval, anchor) in [(5u32, 0u32), (5, 10_079), (60, 1_234), (u32::MAX, 7)] {
+            let c = Clock::new(interval, anchor);
+            for step in steps {
+                let minutes = u128::from(anchor) + u128::from(step) * u128::from(interval);
+                let minute = (minutes % u128::from(MIN_PER_WEEK)) as u64;
+                assert_eq!(u64::from(c.minute_of_week(step)), minute, "step {step}");
+                let tod = (minute % MIN_PER_DAY) as f32 / MIN_PER_DAY as f32;
+                let dow = (minute / MIN_PER_DAY) as f32 / 7.0;
+                assert_eq!(c.covariates(step), (tod, dow), "step {step}");
+            }
+        }
     }
 
     #[test]
@@ -145,6 +194,6 @@ mod tests {
         let d = ds(48, 1, 60);
         let s = d.subset_steps(24, 48);
         assert_eq!(s.steps(), 24);
-        assert!((s.day_of_week(0) - 1.0 / 7.0).abs() < 1e-6);
+        assert!((s.clock().covariates(0).1 - 1.0 / 7.0).abs() < 1e-6);
     }
 }

@@ -127,7 +127,7 @@ impl<'d> TickStream<'d> {
     /// Minute-of-week of the tick at `position` (used to rebuild the time
     /// covariates a batch carries).
     pub fn minute_of_week(&self, t: usize) -> u32 {
-        (self.data.start_minute_of_week + t as u32 * self.data.interval_min) % (7 * 24 * 60)
+        self.data.clock().minute_of_week(t as u64)
     }
 }
 

@@ -16,7 +16,7 @@
 //!   fed to the decoder alongside its own predictions.
 
 use crate::scaler::ZScore;
-use crate::series::ForecastDataset;
+use crate::series::{Clock, ForecastDataset};
 use sagdfn_tensor::{Rng64, Tensor};
 use std::sync::Arc;
 
@@ -121,6 +121,66 @@ pub struct Batch {
     pub future_cov: Tensor,
 }
 
+impl Batch {
+    /// An all-zero batch of `b` windows over `n` nodes, history `h` and
+    /// horizon `f`, ready for [`Batch::encode_window`] to fill in place.
+    pub fn zeros(h: usize, f: usize, b: usize, n: usize) -> Self {
+        Batch {
+            x: Tensor::zeros([h, b, n, 3]),
+            y: Tensor::zeros([f, b, n]),
+            x_last_raw: Tensor::zeros([b, n]),
+            future_cov: Tensor::zeros([f, b, n, 2]),
+        }
+    }
+
+    /// Encodes one raw window into batch column `bi`: the single model
+    /// input encoding that training, serving and streaming share, so the
+    /// three feed the model bit-identical inputs for the same window.
+    ///
+    /// `row(t)` yields the `N` raw values of window step `t`, whose
+    /// absolute step on `clock` is `first_step + t`. Steps `0..h` are the
+    /// history: `x` gets their `scaler`-normalized values plus time
+    /// covariates and `x_last_raw` the raw row `h - 1`. `future_cov`
+    /// gets the covariates of steps `h..h + f`; with `targets` set, `y`
+    /// also gets their raw rows, otherwise `y` is left untouched.
+    pub fn encode_window<'a>(
+        &mut self,
+        bi: usize,
+        first_step: u64,
+        clock: Clock,
+        scaler: ZScore,
+        row: impl Fn(usize) -> &'a [f32],
+        targets: bool,
+    ) {
+        let (h, b, n) = (self.x.dim(0), self.x.dim(1), self.x.dim(2));
+        let f = self.future_cov.dim(0);
+        let x = self.x.as_mut_slice();
+        for t in 0..h {
+            let (tod, dow) = clock.covariates(first_step + t as u64);
+            let base = (t * b + bi) * n;
+            for (node, &v) in row(t)[..n].iter().enumerate() {
+                let at = (base + node) * 3;
+                x[at] = scaler.transform_scalar(v);
+                x[at + 1] = tod;
+                x[at + 2] = dow;
+            }
+        }
+        self.x_last_raw.as_mut_slice()[bi * n..(bi + 1) * n].copy_from_slice(row(h - 1));
+        let fut = self.future_cov.as_mut_slice();
+        for t in 0..f {
+            let (tod, dow) = clock.covariates(first_step + (h + t) as u64);
+            let base = (t * b + bi) * n;
+            for at in base..base + n {
+                fut[at * 2] = tod;
+                fut[at * 2 + 1] = dow;
+            }
+            if targets {
+                self.y.as_mut_slice()[base..base + n].copy_from_slice(row(h + t));
+            }
+        }
+    }
+}
+
 impl SlidingWindows {
     /// Number of available windows.
     pub fn len(&self) -> usize {
@@ -166,51 +226,16 @@ impl SlidingWindows {
     /// Materializes the batch for the given window ids.
     pub fn make_batch(&self, window_ids: &[usize]) -> Batch {
         assert!(!window_ids.is_empty(), "empty batch");
-        let b = window_ids.len();
         let n = self.data.nodes();
-        let (h, f) = (self.h, self.f);
         let vals = self.data.values.as_slice();
-
-        // Recycled buffers: the loops below write every element of all four.
-        let mut x = sagdfn_tensor::alloc::acquire(h * b * n * 3);
-        let mut y = sagdfn_tensor::alloc::acquire(f * b * n);
-        let mut x_last = sagdfn_tensor::alloc::acquire(b * n);
-        let mut fut = sagdfn_tensor::alloc::acquire(f * b * n * 2);
-
+        let clock = self.data.clock();
+        let mut batch = Batch::zeros(self.h, self.f, window_ids.len(), n);
         for (bi, &wid) in window_ids.iter().enumerate() {
             let s = self.starts[wid];
-            for t in 0..h {
-                let step = s + t;
-                let tod = self.data.time_of_day(step);
-                let dow = self.data.day_of_week(step);
-                for node in 0..n {
-                    let base = ((t * b + bi) * n + node) * 3;
-                    x[base] = self.scaler.transform_scalar(vals[step * n + node]);
-                    x[base + 1] = tod;
-                    x[base + 2] = dow;
-                }
-            }
-            for node in 0..n {
-                x_last[bi * n + node] = vals[(s + h - 1) * n + node];
-            }
-            for t in 0..f {
-                let step = s + h + t;
-                let tod = self.data.time_of_day(step);
-                let dow = self.data.day_of_week(step);
-                for node in 0..n {
-                    y[(t * b + bi) * n + node] = vals[step * n + node];
-                    let base = ((t * b + bi) * n + node) * 2;
-                    fut[base] = tod;
-                    fut[base + 1] = dow;
-                }
-            }
+            let row = |t: usize| &vals[(s + t) * n..(s + t + 1) * n];
+            batch.encode_window(bi, s as u64, clock, self.scaler, row, true);
         }
-        Batch {
-            x: Tensor::from_vec(x, [h, b, n, 3]),
-            y: Tensor::from_vec(y, [f, b, n]),
-            x_last_raw: Tensor::from_vec(x_last, [b, n]),
-            future_cov: Tensor::from_vec(fut, [f, b, n, 2]),
-        }
+        batch
     }
 
     /// Convenience: the full split as one batch (for small evaluations).
@@ -312,6 +337,28 @@ mod tests {
         // future covariates exist and are in [0, 1).
         let fc = batch.future_cov.at(&[0, 0, 0, 0]);
         assert!((0.0..1.0).contains(&fc));
+    }
+
+    #[test]
+    fn encode_window_without_targets_matches_make_batch_and_leaves_y() {
+        let data = dataset(60, 3);
+        let split = ThreeWaySplit::new(data.clone(), SplitSpec::paper(4, 3));
+        let ids = [2, 0, 7];
+        let built = split.train.make_batch(&ids);
+        let n = data.nodes();
+        let vals = data.values.as_slice();
+        let mut batch = Batch::zeros(4, 3, ids.len(), n);
+        batch.y.as_mut_slice().fill(-1.0);
+        for (bi, &wid) in ids.iter().enumerate() {
+            let s = split.train.starts()[wid];
+            let row = |t: usize| &vals[(s + t) * n..(s + t + 1) * n];
+            batch.encode_window(bi, s as u64, data.clock(), split.scaler, row, false);
+        }
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&batch.x), bits(&built.x));
+        assert_eq!(bits(&batch.x_last_raw), bits(&built.x_last_raw));
+        assert_eq!(bits(&batch.future_cov), bits(&built.future_cov));
+        assert!(batch.y.as_slice().iter().all(|&v| v == -1.0));
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl Json {
     /// The number as a non-negative integer.
     pub fn as_usize(&self) -> Result<usize, JsonError> {
         let v = self.as_f64()?;
-        if v < 0.0 || v.fract() != 0.0 || v > u64::MAX as f64 {
+        if v < 0.0 || v.fract() != 0.0 || v >= u64::MAX as f64 {
             return err(format!("expected non-negative integer, got {v}"));
         }
         Ok(v as usize)
@@ -578,5 +578,14 @@ mod tests {
         assert!(v.req("s").unwrap().as_usize().is_err());
         assert!(Json::parse("-2").unwrap().as_usize().is_err());
         assert!(Json::parse("1.5").unwrap().as_usize().is_err());
+    }
+
+    #[test]
+    fn integers_at_or_past_two_to_the_64_are_rejected() {
+        // `u64::MAX as f64` rounds up to 2^64, so the bound is exclusive.
+        let largest = Json::parse("18446744073709549568").unwrap(); // 2^64 - 2048
+        assert_eq!(largest.as_u64().unwrap(), 18_446_744_073_709_549_568);
+        assert!(Json::parse("18446744073709551616").unwrap().as_u64().is_err()); // 2^64
+        assert!(Json::parse("1e20").unwrap().as_usize().is_err());
     }
 }

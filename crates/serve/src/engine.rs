@@ -10,23 +10,22 @@
 //! across batch caps and plan/SIMD modes.
 //!
 //! Tenants keep one [`Batch`] slab plus output buffer per batch size
-//! seen, refilled in place each flush (replicating `make_batch`'s exact
-//! element math), so a warm tenant serves requests with **zero**
-//! allocator acquires: the planned executor writes straight into the
-//! cached output tensor and the only per-request allocation is the
-//! plain response `Vec` handed to the client.
+//! seen, refilled in place each flush, so a warm tenant serves requests
+//! with **zero** allocator acquires: the planned executor writes
+//! straight into the cached output tensor and the only per-request
+//! allocation is the plain response `Vec` handed to the client. The
+//! refill is [`Batch::encode_window`] over the tenant's
+//! [`sagdfn_data::Clock`], the same input encoding training's
+//! `make_batch` and the streaming engine use, so a served window is
+//! encoded exactly as training encoded it.
 
 use crate::batcher::{BatchItem, Flush, MicroBatcher};
 use sagdfn_core::{HeadKind, Sagdfn};
-use sagdfn_data::{Batch, ZScore};
+use sagdfn_data::{Batch, Clock, ZScore};
 use sagdfn_obs as obs;
 use sagdfn_tensor::Tensor;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-/// Minutes per day / per week (mirrors `sagdfn_data::series`).
-const MIN_PER_DAY: u32 = 24 * 60;
-const MIN_PER_WEEK: u32 = 7 * MIN_PER_DAY;
 
 // ---------------------------------------------------------------------------
 // Errors and responses
@@ -227,7 +226,7 @@ struct Slab {
 }
 
 /// One served model: a frozen [`Sagdfn`] plus the dataset facts needed
-/// to rebuild `make_batch`'s exact input encoding from raw history.
+/// to encode raw history exactly as training did.
 pub struct Tenant {
     name: String,
     model: Sagdfn,
@@ -235,25 +234,8 @@ pub struct Tenant {
     h: usize,
     f: usize,
     n: usize,
-    interval_min: u32,
-    start_minute_of_week: u32,
+    clock: Clock,
     slabs: Vec<Slab>,
-}
-
-/// Time-of-day covariate of absolute step `step` — the same integer
-/// arithmetic as `ForecastDataset::time_of_day`, so served inputs match
-/// dataset-built batches bit for bit.
-fn time_of_day(start_minute_of_week: u32, interval_min: u32, step: u64) -> f32 {
-    let minute =
-        start_minute_of_week.wrapping_add((step as u32).wrapping_mul(interval_min)) % MIN_PER_DAY;
-    minute as f32 / MIN_PER_DAY as f32
-}
-
-/// Day-of-week covariate of absolute step `step` (Monday = 0).
-fn day_of_week(start_minute_of_week: u32, interval_min: u32, step: u64) -> f32 {
-    let minute =
-        start_minute_of_week.wrapping_add((step as u32).wrapping_mul(interval_min)) % MIN_PER_WEEK;
-    (minute / MIN_PER_DAY) as f32 / 7.0
 }
 
 impl Tenant {
@@ -271,7 +253,6 @@ impl Tenant {
     ) -> Self {
         let n = model.n();
         assert!(h >= 1 && f >= 1, "degenerate horizon");
-        assert!(interval_min > 0, "interval must be positive");
         Tenant {
             name: name.into(),
             model,
@@ -279,8 +260,7 @@ impl Tenant {
             h,
             f,
             n,
-            interval_min,
-            start_minute_of_week: start_minute_of_week % MIN_PER_WEEK,
+            clock: Clock::new(interval_min, start_minute_of_week),
             slabs: Vec::new(),
         }
     }
@@ -305,20 +285,6 @@ impl Tenant {
         self.f
     }
 
-    /// Checks a request's history payload against this tenant's shape.
-    pub fn validate(&self, history: &[f32]) -> Result<(), ServeError> {
-        if history.len() != self.h * self.n {
-            return Err(ServeError::BadRequest(format!(
-                "history must hold h*n = {}*{} = {} values, got {}",
-                self.h,
-                self.n,
-                self.h * self.n,
-                history.len()
-            )));
-        }
-        Ok(())
-    }
-
     /// Index of the cached slab for batch size `b`, compiling a fresh
     /// one on first sight of the size. The `y` tensor stays zero: the
     /// no-teacher eval forward only reads its `f` dimension.
@@ -326,17 +292,11 @@ impl Tenant {
         if let Some(i) = self.slabs.iter().position(|s| s.b == b) {
             return i;
         }
-        let (h, f, n) = (self.h, self.f, self.n);
         self.slabs.push(Slab {
             b,
-            batch: Batch {
-                x: Tensor::zeros([h, b, n, 3]),
-                y: Tensor::zeros([f, b, n]),
-                x_last_raw: Tensor::zeros([b, n]),
-                future_cov: Tensor::zeros([f, b, n, 2]),
-            },
+            batch: Batch::zeros(self.h, self.f, b, self.n),
             // (f, B, N) for point heads, (f, B, N, C) otherwise.
-            out: Tensor::zeros(self.model.output_dims(f, b).as_slice()),
+            out: Tensor::zeros(self.model.output_dims(self.f, b).as_slice()),
         });
         self.slabs.len() - 1
     }
@@ -348,45 +308,12 @@ impl Tenant {
         if b == 0 {
             return;
         }
-        let (h, f, n) = (self.h, self.f, self.n);
-        let (scaler, imin, smow) = (self.scaler, self.interval_min, self.start_minute_of_week);
+        let (f, n, scaler, clock) = (self.f, self.n, self.scaler, self.clock);
         let si = self.slab_index(b);
         let slab = &mut self.slabs[si];
-
-        // In-place refill, element-for-element the same math as
-        // `SlidingWindows::make_batch` so batched serving inputs are
-        // bit-identical to dataset-built batches.
-        let x = slab.batch.x.as_mut_slice();
         for (bi, req) in reqs.iter().enumerate() {
-            debug_assert_eq!(req.history.len(), h * n);
-            for t in 0..h {
-                let step = req.start + t as u64;
-                let tod = time_of_day(smow, imin, step);
-                let dow = day_of_week(smow, imin, step);
-                for node in 0..n {
-                    let base = ((t * b + bi) * n + node) * 3;
-                    x[base] = scaler.transform_scalar(req.history[t * n + node]);
-                    x[base + 1] = tod;
-                    x[base + 2] = dow;
-                }
-            }
-        }
-        let x_last = slab.batch.x_last_raw.as_mut_slice();
-        for (bi, req) in reqs.iter().enumerate() {
-            x_last[bi * n..(bi + 1) * n].copy_from_slice(&req.history[(h - 1) * n..]);
-        }
-        let fut = slab.batch.future_cov.as_mut_slice();
-        for (bi, req) in reqs.iter().enumerate() {
-            for t in 0..f {
-                let step = req.start + (h + t) as u64;
-                let tod = time_of_day(smow, imin, step);
-                let dow = day_of_week(smow, imin, step);
-                for node in 0..n {
-                    let base = ((t * b + bi) * n + node) * 2;
-                    fut[base] = tod;
-                    fut[base + 1] = dow;
-                }
-            }
+            let row = |t: usize| &req.history[t * n..(t + 1) * n];
+            slab.batch.encode_window(bi, req.start, clock, scaler, row, false);
         }
 
         self.model.predict_batch_into(&slab.batch, scaler, &mut slab.out);
@@ -455,6 +382,34 @@ pub struct TenantMeta {
     pub f: usize,
     /// Node count.
     pub n: usize,
+}
+
+impl TenantMeta {
+    /// The admission check every forecast request passes before it is
+    /// queued: `history` must hold exactly `h * n` finite values (the
+    /// model has no defined forecast for NaN or ±Inf inputs), and
+    /// `start` must leave room for the `h + f` steps the encoding reads.
+    pub fn check(&self, start: u64, history: &[f32]) -> Result<(), ServeError> {
+        let (h, n) = (self.h, self.n);
+        if history.len() != h * n {
+            return Err(ServeError::BadRequest(format!(
+                "history must hold h*n = {h}*{n} = {} values, got {}",
+                h * n,
+                history.len()
+            )));
+        }
+        if let Some(i) = history.iter().position(|v| !v.is_finite()) {
+            return Err(ServeError::BadRequest(format!(
+                "history value {i} (row {}, node {}) is not finite",
+                i / n,
+                i % n
+            )));
+        }
+        if start.checked_add((h + self.f) as u64).is_none() {
+            return Err(ServeError::BadRequest(format!("start {start} is out of range")));
+        }
+        Ok(())
+    }
 }
 
 impl Registry {

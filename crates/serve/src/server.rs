@@ -142,16 +142,7 @@ impl ServerCore {
             .iter()
             .position(|m| m.name == model)
             .ok_or_else(|| ServeError::UnknownModel(model.to_string()))?;
-        let m = &meta[slot];
-        if history.len() != m.h * m.n {
-            return Err(ServeError::BadRequest(format!(
-                "history must hold h*n = {}*{} = {} values, got {}",
-                m.h,
-                m.n,
-                m.h * m.n,
-                history.len()
-            )));
-        }
+        meta[slot].check(start, &history)?;
         let (responder, handle) = response_channel();
         let req = ForecastRequest { tenant: slot, start, history, deadline_ns, responder };
         admit_to_queue(&self.shared.queue, req)?;
@@ -402,14 +393,7 @@ fn forecast(req: &http::Request, hs: &HandlerShared) -> (u16, String) {
         return (err.status(), error_body(&err.message()));
     };
     let m = &meta[slot];
-    if history.len() != m.h * m.n {
-        let err = ServeError::BadRequest(format!(
-            "history must hold h*n = {}*{} = {} values, got {}",
-            m.h,
-            m.n,
-            m.h * m.n,
-            history.len()
-        ));
+    if let Err(err) = m.check(start, &history) {
         return (err.status(), error_body(&err.message()));
     }
 

@@ -15,10 +15,12 @@ echo "== cargo test -q =="
 cargo test -q
 
 echo
-echo "== serve and CLI crate tests =="
+echo "== in-crate tests: data, core, json, serve and CLI =="
 # The root package's suite does not reach in-crate tests; these hold
-# the HTTP framing, the loopback round-trip and the CLI's serve test.
-cargo test -q --release -p sagdfn-serve -p sagdfn-cli
+# the step clock and window encoder, the model and streaming engine,
+# the JSON parser, the HTTP framing, the loopback round-trip and the
+# CLI's serve test.
+cargo test -q --release -p sagdfn-data -p sagdfn-core -p sagdfn-json -p sagdfn-serve -p sagdfn-cli
 
 echo
 echo "== cargo clippy -- -D warnings =="

@@ -6,7 +6,9 @@
 //! about 40 ms per request. Twenty round trips against a Tiny tenant
 //! must keep a median far below that stall, and every forecast read
 //! off the wire must equal, bit for bit, what `ServerCore::submit`
-//! answers for the same payload.
+//! answers for the same payload. The same wire path also pins the
+//! admission rules: covariates exact at any `start`, and 400 for an
+//! out-of-range `start` or a non-finite history value.
 
 use sagdfn_json::Json;
 use sagdfn_repro::data::{metr_la_like, Scale, SplitSpec, ThreeWaySplit};
@@ -50,10 +52,13 @@ fn payloads(count: usize) -> Vec<(u64, Vec<f32>)> {
 /// single segment. Debug-formatted floats parse back to the same f32.
 fn forecast_request(start: u64, history: &[f32]) -> Vec<u8> {
     let values: Vec<String> = history.iter().map(|v| format!("{v:?}")).collect();
-    let body = format!(
-        "{{\"model\":\"tiny\",\"start\":{start},\"history\":[{}]}}",
-        values.join(",")
-    );
+    raw_forecast_request(&start.to_string(), &values.join(","))
+}
+
+/// A forecast request carrying `start` and the flat `history` values
+/// as literal JSON text, for payloads a typed value cannot express.
+fn raw_forecast_request(start: &str, history: &str) -> Vec<u8> {
+    let body = format!("{{\"model\":\"tiny\",\"start\":{start},\"history\":[{history}]}}");
     format!(
         "POST /v1/forecast HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
@@ -120,16 +125,91 @@ fn keep_alive_round_trips_skip_the_delayed_ack_stall_and_stay_bit_exact() {
             .expect("admitted")
             .wait()
             .expect("forecast");
-        let parsed = Json::parse(body).expect("response is JSON");
-        let rows = parsed.req("forecast").and_then(Json::as_arr).expect("forecast rows");
-        let wire: Vec<f32> = rows
-            .iter()
-            .flat_map(|row| row.as_arr().expect("row"))
-            .map(|v| v.as_f32().expect("number"))
-            .collect();
+        let wire = forecast_values(body);
         assert_eq!(wire.len(), expected.values.len());
         for (i, (w, e)) in wire.iter().zip(&expected.values).enumerate() {
             assert_eq!(w.to_bits(), e.to_bits(), "start {start}, value {i}: {w:?} vs {e:?}");
+        }
+    }
+    server.shutdown();
+}
+
+/// The raw-unit forecast values of a 200 response body.
+fn forecast_values(body: &str) -> Vec<f32> {
+    let parsed = Json::parse(body).expect("response is JSON");
+    let rows = parsed.req("forecast").and_then(Json::as_arr).expect("forecast rows");
+    rows.iter()
+        .flat_map(|row| row.as_arr().expect("row"))
+        .map(|v| v.as_f32().expect("number"))
+        .collect()
+}
+
+#[test]
+fn covariates_repeat_weekly_past_the_u32_minute_range() {
+    // 2016 five-minute steps are one week, so shifting `start` by whole
+    // weeks must leave every covariate, and so every forecast bit,
+    // unchanged. The shifted start puts step * 5 minutes past 2^32,
+    // where 32-bit minute arithmetic wraps onto the wrong time of day.
+    const WEEK_STEPS: u64 = 7 * 24 * 60 / 5;
+    const WEEKS: u64 = 426_089;
+    let cfg = ServeConfig { hold_ns: 500_000, ..ServeConfig::default() };
+    let server = Server::start(cfg, tiny_registry).expect("bind loopback");
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    for (start, history) in payloads(3) {
+        let shifted = start + WEEKS * WEEK_STEPS;
+        assert!(shifted * 5 > 1 << 32);
+        let mut answers = Vec::new();
+        for at in [start, shifted] {
+            writer.write_all(&forecast_request(at, &history)).expect("send request");
+            let (code, body) = read_response(&mut reader);
+            assert_eq!(code, 200, "forecast at start {at} failed: {body}");
+            answers.push(forecast_values(&body));
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&answers[0]), bits(&answers[1]), "start {start} vs {shifted}");
+    }
+    server.shutdown();
+}
+
+#[test]
+fn out_of_range_start_and_non_finite_history_answer_400_and_the_tenant_keeps_serving() {
+    let cfg = ServeConfig { hold_ns: 500_000, ..ServeConfig::default() };
+    let server = Server::start(cfg, tiny_registry).expect("bind loopback");
+    let (start, history) = payloads(1).remove(0);
+    let values: Vec<String> = history.iter().map(|v| format!("{v:?}")).collect();
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+
+    // 2^64 is one past u64::MAX; 2^64 - 2048 is the largest integer
+    // JSON's f64 numbers can carry below it, and start + h + f still
+    // fits in a u64, so that one is served.
+    let mut inf = values.clone();
+    inf[1] = "1e39".into(); // overflows f32 to +inf
+    let rejected = [
+        raw_forecast_request("18446744073709551616", &values.join(",")),
+        raw_forecast_request(&start.to_string(), &inf.join(",")),
+    ];
+    for request in &rejected {
+        writer.write_all(request).expect("send request");
+        let (code, body) = read_response(&mut reader);
+        assert_eq!(code, 400, "expected 400, got {code}: {body}");
+        assert!(body.contains("\"error\""), "error body: {body}");
+    }
+    let reference = server
+        .core()
+        .submit("tiny", start, history.clone(), None)
+        .expect("admitted")
+        .wait()
+        .expect("forecast");
+    for at in [start, 18_446_744_073_709_549_568] {
+        writer.write_all(&forecast_request(at, &history)).expect("send request");
+        let (code, body) = read_response(&mut reader);
+        assert_eq!(code, 200, "forecast at start {at} failed: {body}");
+        if at == start {
+            assert_eq!(forecast_values(&body), reference.values);
         }
     }
     server.shutdown();
