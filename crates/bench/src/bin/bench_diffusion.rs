@@ -25,8 +25,8 @@
 //! must fall back to the dense GEMM on a fully dense adjacency —
 //! `scripts/check.sh` runs this as the diffusion regression guard.
 
+use sagdfn_bench::gate::{self, time_min, Gate};
 use sagdfn_json::Json;
-use sagdfn_obs as obs;
 use sagdfn_tensor::sparse::{dadj_dense, spmm_dispatch, Csr, SpmmDispatch};
 use sagdfn_tensor::{pool, Rng64, Tensor};
 
@@ -98,8 +98,8 @@ fn measure(cfg: &Config, steps: usize) -> Measurement {
         (y, dx, da)
     };
 
-    let dense_sec = obs::time_min("diffusion_dense", WARMUP_STEPS, steps, &dense_step);
-    let build_sec = obs::time_min("diffusion_csr_build", WARMUP_STEPS, steps, &|| {
+    let dense_sec = time_min("diffusion_dense", WARMUP_STEPS, steps, &dense_step);
+    let build_sec = time_min("diffusion_csr_build", WARMUP_STEPS, steps, &|| {
         Csr::from_dense(&a);
     });
     let build_share = build_sec / PLAN_REUSE as f64;
@@ -108,19 +108,19 @@ fn measure(cfg: &Config, steps: usize) -> Measurement {
     // with the once-per-pass build amortized per the module doc.
     let dispatch = spmm_dispatch(cfg.n, cfg.m, BATCH, nnz);
     let sparse_sec = match dispatch {
-        SpmmDispatch::Dense => obs::time_min("diffusion_sparse", WARMUP_STEPS, steps, &dense_step),
+        SpmmDispatch::Dense => time_min("diffusion_sparse", WARMUP_STEPS, steps, &dense_step),
         SpmmDispatch::Hybrid => {
-            obs::time_min("diffusion_sparse", WARMUP_STEPS, steps, &hybrid_step) + build_share
+            time_min("diffusion_sparse", WARMUP_STEPS, steps, &hybrid_step) + build_share
         }
         SpmmDispatch::Sparse => {
-            obs::time_min("diffusion_sparse", WARMUP_STEPS, steps, &csr_step) + build_share
+            time_min("diffusion_sparse", WARMUP_STEPS, steps, &csr_step) + build_share
         }
     };
     // When the auto dispatch left the CSR products unused on an
     // adjacency that *does* have zeros, also time the full-CSR pipeline
     // for the kernel trend line.
     let forced_sparse_sec = (dispatch != SpmmDispatch::Sparse && nnz < a.numel()).then(|| {
-        obs::time_min("diffusion_sparse_forced", WARMUP_STEPS, steps, &csr_step) + build_share
+        time_min("diffusion_sparse_forced", WARMUP_STEPS, steps, &csr_step) + build_share
     });
     Measurement {
         nnz,
@@ -142,19 +142,8 @@ fn dispatch_name(d: SpmmDispatch) -> &'static str {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut out_path = "BENCH_diffusion.json".to_string();
-    let mut steps = 8usize;
-    let mut check: Option<String> = None;
-    let mut it = args.iter().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--out" => out_path = it.next().expect("--out needs a value").clone(),
-            "--steps" => steps = it.next().expect("--steps needs a value").parse().expect("steps"),
-            "--check" => check = Some(it.next().expect("--check needs a value").clone()),
-            other => panic!("unknown flag '{other}' (expected --out / --steps / --check)"),
-        }
-    }
+    let args = gate::Args::parse("BENCH_diffusion.json", 8);
+    let steps = args.steps;
 
     println!(
         "diffusion kernel benchmark: {} worker threads, {steps} measured steps, B={BATCH} \
@@ -244,57 +233,27 @@ fn main() {
         ("dense_ratio_00_max", Json::from(dense_ratio_00_max)),
         ("cases", Json::Arr(cases)),
     ]);
-    std::fs::write(&out_path, doc.to_string_pretty().expect("serialize"))
-        .expect("write BENCH_diffusion.json");
-    println!("wrote {out_path}");
-
-    if let Some(baseline_path) = check {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let baseline = Json::parse(&text).expect("parse baseline");
-        let base_speedup = baseline
-            .req("speedup_90_min")
-            .and_then(|v| v.as_f64())
-            .expect("baseline speedup_90_min");
-        // The sparse win must hold absolutely and not regress more than
-        // 25% against the recorded baseline.
-        let floor = (base_speedup * 0.75).max(1.2);
-        println!(
-            "  regression guard: speedup@90% {speedup_90_min:.2}x vs baseline {base_speedup:.2}x (floor {floor:.2}x)"
-        );
-        let mut failed = false;
-        if speedup_90_min < floor {
-            eprintln!("diffusion regression: 90%-zeros sparse speedup fell below the floor");
-            failed = true;
-        }
-        // Same shape of gate at the paper-scale moderate density: the
-        // dispatched pipeline (hybrid here) must beat the dense kernels
-        // at N=2000 / 50% zeros. Baselines written before this field
-        // existed anchor only the absolute floor.
-        let base_50 = baseline
-            .get("speedup_50_n2000")
-            .and_then(|v| v.as_f64().ok());
-        let floor_50 = base_50.map_or(1.5, |b| (b * 0.75).max(1.5));
-        println!(
-            "  regression guard: pipeline speedup@N=2000/50% {speedup_50_n2000:.2}x (floor {floor_50:.2}x)"
-        );
-        if speedup_50_n2000.is_nan() || speedup_50_n2000 < floor_50 {
-            eprintln!("diffusion regression: N=2000/50%-zeros pipeline speedup fell below the floor");
-            failed = true;
-        }
-        // On fully dense adjacencies the guard is the *dispatch decision*:
-        // auto must fall back to the dense GEMM, which makes the measured
-        // arms run identical code — their timing ratio is then machine
-        // noise, recorded above for trend-watching but not gated on.
-        if dispatch_00_sparse {
-            eprintln!(
-                "diffusion regression: auto dispatch chose the sparse kernels on a fully \
-                 dense adjacency (must fall back to the dense GEMM)"
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-    }
+    args.finish(doc, |base| {
+        vec![
+            // The sparse win must hold absolutely and not regress more
+            // than 25% against the recorded baseline.
+            Gate::at_least(
+                "min speedup at 90% zeros",
+                speedup_90_min,
+                (base.f64("speedup_90_min") * 0.75).max(1.2),
+            ),
+            // Same shape of gate at the paper-scale moderate density: the
+            // dispatched pipeline (hybrid here) vs the dense kernels.
+            Gate::at_least(
+                "pipeline speedup at N=2000/50% zeros",
+                speedup_50_n2000,
+                (base.f64("speedup_50_n2000") * 0.75).max(1.5),
+            ),
+            // On fully dense adjacencies the guard is the dispatch
+            // decision: auto must fall back to the dense GEMM, which makes
+            // the measured arms run identical code — their timing ratio is
+            // then machine noise, recorded for trend-watching only.
+            Gate::holds("auto dispatch stays dense at 0% zeros", !dispatch_00_sparse),
+        ]
+    });
 }

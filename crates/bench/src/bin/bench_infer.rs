@@ -31,6 +31,7 @@
 //! regression guard.
 
 use sagdfn_autodiff::Tape;
+use sagdfn_bench::gate::{self, Gate};
 use sagdfn_core::{set_plan_mode, Mode, PlanMode, Sagdfn, SagdfnConfig};
 use sagdfn_data::{Batch, SplitSpec, ThreeWaySplit};
 use sagdfn_json::Json;
@@ -158,19 +159,8 @@ fn planned_steady_state_acquires(model: &Sagdfn, split: &ThreeWaySplit) -> u64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut out_path = "BENCH_infer.json".to_string();
-    let mut reps = 12usize;
-    let mut check: Option<String> = None;
-    let mut it = args.iter().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--out" => out_path = it.next().expect("--out needs a value").clone(),
-            "--steps" => reps = it.next().expect("--steps needs a value").parse().expect("steps"),
-            "--check" => check = Some(it.next().expect("--check needs a value").clone()),
-            other => panic!("unknown flag '{other}' (expected --out / --steps / --check)"),
-        }
-    }
+    let args = gate::Args::parse("BENCH_infer.json", 12);
+    let reps = args.steps;
 
     // Counters stay on for every mode (same overhead everywhere) so the
     // plan-cache build/hit tally and per-op schedule times are visible.
@@ -285,40 +275,14 @@ fn main() {
         ("planned_acquires", Json::from(planned_acquires)),
         ("bit_identical", Json::from(bit_identical)),
     ]);
-    std::fs::write(&out_path, doc.to_string_pretty().expect("serialize"))
-        .expect("write BENCH_infer.json");
-    println!("wrote {out_path}");
-
-    if let Some(baseline_path) = check {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let baseline = Json::parse(&text).expect("parse baseline");
-        let base_speedup = baseline
-            .req("speedup_frozen")
-            .and_then(|v| v.as_f64())
-            .expect("baseline speedup_frozen");
-        println!(
-            "  regression guard: frozen {speedup_frozen:.2}x (baseline {base_speedup:.2}x, floor 1.30x), \
-             no-grad {speedup_nograd:.2}x (floor 1.00x), planned {speedup_planned:.2}x (floor 2.50x)"
-        );
-        fn fail(msg: &str) -> ! {
-            eprintln!("inference regression: {msg}");
-            std::process::exit(1);
-        }
-        if speedup_frozen < 1.3 {
-            fail("frozen-plan eval no longer >= 1.3x taped eval");
-        }
-        if speedup_nograd < 1.0 {
-            fail("no-grad eval slower than the taped eval");
-        }
-        if speedup_planned < 2.5 {
-            fail("planned executor no longer >= 2.5x taped eval");
-        }
-        if counters.plan_hits == 0 {
-            fail("plan cache recorded zero hits across batches");
-        }
-        if planned_acquires != 0 {
-            fail("steady-state planned pass acquired buffers (arena slots must be pre-resolved)");
-        }
-    }
+    args.finish(doc, |_| {
+        vec![
+            Gate::at_least("frozen-plan speedup vs taped", speedup_frozen, 1.3),
+            Gate::at_least("no-grad speedup vs taped", speedup_nograd, 1.0),
+            Gate::at_least("planned speedup vs taped", speedup_planned, 2.5),
+            Gate::at_least("plan cache hits", counters.plan_hits as f64, 1.0),
+            // Arena slots must be pre-resolved.
+            Gate::at_most("steady-state planned acquires", planned_acquires as f64, 0.0),
+        ]
+    });
 }

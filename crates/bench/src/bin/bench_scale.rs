@@ -26,12 +26,12 @@
 //! and seconds/step stays within 1.5× of the recorded baseline.
 
 use sagdfn_autodiff::Tape;
+use sagdfn_bench::gate::{self, time_min, Gate};
 use sagdfn_core::{Sagdfn, SagdfnConfig};
 use sagdfn_data::{Batch, ZScore};
 use sagdfn_json::Json;
 use sagdfn_memsim::{plan_shards, ModelFamily, WorkloadDims, V100_32GB};
 use sagdfn_nn::{masked_mae, Adam, Mode, Optimizer};
-use sagdfn_obs as obs;
 use sagdfn_tensor::{alloc, pool, Rng64, Tensor};
 
 const H_LEN: usize = 4;
@@ -114,7 +114,7 @@ fn run_case(n: usize, steps: usize) -> Case {
     // Min over the measured steps (the repo's standard for regression-gated
     // timings): a single scheduler stall on a busy CI box would otherwise
     // inflate a mean and trip the 1.5× guard without any code change.
-    let train_sec = obs::time_min("bench_scale.train_step", 0, steps, || train_step(&mut model));
+    let train_sec = time_min("bench_scale.train_step", 0, steps, || train_step(&mut model));
     let train = Phase { seconds_per_step: train_sec, peak_bytes: alloc::peak_bytes() };
 
     let eval_step = |model: &Sagdfn| {
@@ -130,7 +130,7 @@ fn run_case(n: usize, steps: usize) -> Case {
         eval_step(&model);
     }
     alloc::reset_peak();
-    let eval_sec = obs::time_min("bench_scale.eval_step", 0, steps, || eval_step(&model));
+    let eval_sec = time_min("bench_scale.eval_step", 0, steps, || eval_step(&model));
     let eval = Phase { seconds_per_step: eval_sec, peak_bytes: alloc::peak_bytes() };
 
     // The memory verdicts are at the *paper's* dims for this N: what the
@@ -169,19 +169,8 @@ fn case_json(c: &Case) -> Json {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut out_path = "BENCH_scale.json".to_string();
-    let mut steps = 3usize;
-    let mut check: Option<String> = None;
-    let mut it = args.iter().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--out" => out_path = it.next().expect("--out needs a value").clone(),
-            "--steps" => steps = it.next().expect("--steps needs a value").parse().expect("steps"),
-            "--check" => check = Some(it.next().expect("--check needs a value").clone()),
-            other => panic!("unknown flag '{other}' (expected --out / --steps / --check)"),
-        }
-    }
+    let args = gate::Args::parse("BENCH_scale.json", 3);
+    let steps = args.steps;
 
     println!(
         "paper-scale sharding benchmark: {} worker threads, {steps} measured steps, \
@@ -225,72 +214,41 @@ fn main() {
         ("batch", Json::from(BATCH)),
         ("cases", Json::Arr(cases.iter().map(case_json).collect())),
     ]);
-    std::fs::write(&out_path, doc.to_string_pretty().expect("serialize"))
-        .expect("write BENCH_scale.json");
-    println!("wrote {out_path}");
-
-    if let Some(baseline_path) = check {
-        let mut failed = false;
+    args.finish(doc, |base| {
         let frontier = cases.last().expect("cases nonempty");
         assert_eq!(frontier.n, 20000);
+        let cap = V100_32GB.capacity_bytes;
         // Structural gates (baseline-independent): at N = 20000 the
         // sharded plan must fit the V100 while both dense alternatives
         // provably OOM per the memsim model.
-        if !frontier.plan.fits {
-            eprintln!("scale regression: sharded plan no longer fits a V100-32GB at N=20000");
-            failed = true;
+        let mut gates = vec![
+            Gate::holds("N=20000 sharded plan fits a V100-32GB", frontier.plan.fits),
+            Gate::holds(
+                "N=20000 unsharded SAGDFN overflows a V100-32GB",
+                frontier.sagdfn_unsharded_bytes > cap,
+            ),
+            Gate::holds("N=20000 dense N x N baseline OOMs", frontier.dense_would_oom),
+            Gate::at_least("N=20000 planned shards", frontier.plan.shards as f64, 2.0),
+        ];
+        if std::env::var("SAGDFN_SHARDS").is_err() {
+            gates.push(Gate::holds(
+                format!(
+                    "N=20000 resolved shards ({}) = planned ({})",
+                    frontier.shards, frontier.plan.shards
+                ),
+                frontier.shards == frontier.plan.shards,
+            ));
         }
-        if frontier.sagdfn_unsharded_bytes <= V100_32GB.capacity_bytes {
-            eprintln!("scale model drift: unsharded SAGDFN fits at N=20000 — sharding unneeded?");
-            failed = true;
-        }
-        if !frontier.dense_would_oom {
-            eprintln!("scale model drift: dense N x N baseline no longer OOMs at N=20000");
-            failed = true;
-        }
-        if frontier.plan.shards < 2 {
-            eprintln!("scale regression: planner picked < 2 shards at N=20000");
-            failed = true;
-        }
-        if std::env::var("SAGDFN_SHARDS").is_err() && frontier.shards != frontier.plan.shards {
-            eprintln!(
-                "scale regression: model resolved {} shards but the plan says {}",
-                frontier.shards, frontier.plan.shards
-            );
-            failed = true;
-        }
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let baseline = Json::parse(&text).expect("parse baseline");
-        let base_cases = baseline.req("cases").and_then(Json::as_arr).expect("cases");
         for c in &cases {
-            let Some(b) = base_cases.iter().find(|b| {
-                b.req("n").and_then(|v| v.as_usize()).ok() == Some(c.n)
-            }) else {
-                continue; // new N: no baseline yet, structural gates still apply
-            };
             for (phase, sec) in [
                 ("train_sec_per_step", c.train.seconds_per_step),
                 ("eval_sec_per_step", c.eval.seconds_per_step),
             ] {
-                let base_sec = b.req(phase).and_then(|v| v.as_f64()).expect(phase);
                 // 1.5x slack: wall-clock gates on shared CI need room.
-                let limit = base_sec * 1.5 + 1e-3;
-                println!(
-                    "  regression guard: N={} {phase} {:.1} ms vs baseline {:.1} ms (limit {:.1})",
-                    c.n,
-                    sec * 1e3,
-                    base_sec * 1e3,
-                    limit * 1e3
-                );
-                if sec > limit {
-                    eprintln!("scale regression: N={} {phase} exceeds the recorded baseline", c.n);
-                    failed = true;
-                }
+                let limit = base.f64(&format!("cases.n={}.{phase}", c.n)) * 1.5 + 1e-3;
+                gates.push(Gate::at_most(format!("N={} {phase}", c.n), sec, limit));
             }
         }
-        if failed {
-            std::process::exit(1);
-        }
-    }
+        gates
+    });
 }

@@ -25,6 +25,7 @@
 //! and the 1000-client arm completed requests with p99 <= 500 ms —
 //! `scripts/check.sh` uses this as the serving regression guard.
 
+use sagdfn_bench::gate::{self, Gate};
 use sagdfn_core::{set_plan_mode, PlanMode, Sagdfn, SagdfnConfig};
 use sagdfn_data::{Scale, SplitSpec, ThreeWaySplit};
 use sagdfn_json::Json;
@@ -235,21 +236,9 @@ fn latency_arm(core: &ServerCore, payloads: &[Payload], clients: usize, secs: f6
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut out_path = "BENCH_serve.json".to_string();
-    let mut reps = 5usize;
-    let mut secs = 1.0f64;
-    let mut check: Option<String> = None;
-    let mut it = args.iter().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--out" => out_path = it.next().expect("--out needs a value").clone(),
-            "--steps" => reps = it.next().expect("--steps needs a value").parse().expect("steps"),
-            "--secs" => secs = it.next().expect("--secs needs a value").parse().expect("secs"),
-            "--check" => check = Some(it.next().expect("--check needs a value").clone()),
-            other => panic!("unknown flag '{other}' (expected --out / --steps / --secs / --check)"),
-        }
-    }
+    let args = gate::Args::parse("BENCH_serve.json", 5);
+    let reps = args.steps;
+    let secs = args.secs;
 
     // Counters on (allocator acquires) and the plan executor pinned on —
     // the serving default.
@@ -369,38 +358,13 @@ fn main() {
             ),
         ),
     ]);
-    std::fs::write(&out_path, doc.to_string_pretty().expect("serialize"))
-        .expect("write BENCH_serve.json");
-    println!("wrote {out_path}");
-
-    if let Some(baseline_path) = check {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let baseline = Json::parse(&text).expect("parse baseline");
-        let base_speedup = baseline
-            .req("batched_speedup")
-            .and_then(|v| v.as_f64())
-            .expect("baseline batched_speedup");
-        println!(
-            "  regression guard: batched {batched_speedup:.2}x (baseline {base_speedup:.2}x, \
-             floor 3.00x), steady acquires {steady_acquires} (must be 0), \
-             p99@1k {p99_1k:.2} ms (budget 500 ms)"
-        );
-        fn fail(msg: &str) -> ! {
-            eprintln!("serving regression: {msg}");
-            std::process::exit(1);
-        }
-        if batched_speedup < 3.0 {
-            fail("micro-batched throughput no longer >= 3x serial");
-        }
-        if steady_acquires != 0 {
-            fail("steady-state batches acquired buffers (slab refill must be in place)");
-        }
-        if completed_1k == 0 {
-            fail("1000-client arm completed zero requests");
-        }
-        if p99_1k > 500.0 {
-            fail("p99 latency at 1000 clients exceeded the 500 ms budget");
-        }
-    }
+    args.finish(doc, |_| {
+        vec![
+            Gate::at_least("batched speedup vs per-request", batched_speedup, 3.0),
+            // Slab refill must be in place.
+            Gate::at_most("steady-state batch acquires", steady_acquires as f64, 0.0),
+            Gate::at_least("1000-client requests completed", completed_1k as f64, 1.0),
+            Gate::at_most("1000-client p99 ms", p99_1k, 500.0),
+        ]
+    });
 }

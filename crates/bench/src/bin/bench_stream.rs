@@ -25,6 +25,7 @@
 //! or throughput fell below 0.4x the committed baseline —
 //! `scripts/check.sh` uses this as the streaming regression guard.
 
+use sagdfn_bench::gate::{self, Gate};
 use sagdfn_core::{set_plan_mode, HeadKind, PlanMode, Sagdfn, SagdfnConfig, StreamConfig, StreamEngine};
 use sagdfn_data::{Scale, SplitSpec, ThreeWaySplit};
 use sagdfn_json::Json;
@@ -77,19 +78,8 @@ fn run_ticks(engine: &mut StreamEngine, ticks: &[Vec<f32>], from: usize, count: 
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut out_path = "BENCH_stream.json".to_string();
-    let mut reps = 5usize;
-    let mut check: Option<String> = None;
-    let mut it = args.iter().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--out" => out_path = it.next().expect("--out needs a value").clone(),
-            "--steps" => reps = it.next().expect("--steps needs a value").parse().expect("steps"),
-            "--check" => check = Some(it.next().expect("--check needs a value").clone()),
-            other => panic!("unknown flag '{other}' (expected --out / --steps / --check)"),
-        }
-    }
+    let args = gate::Args::parse("BENCH_stream.json", 5);
+    let reps = args.steps;
 
     obs::set_trace_mode(obs::TraceMode::Counters);
 
@@ -211,39 +201,14 @@ fn main() {
         ("ft_overhead", Json::from(ft_overhead)),
         ("ft_steps", Json::from(ft_delta.stream_ft_steps)),
     ]);
-    std::fs::write(&out_path, doc.to_string_pretty().expect("serialize"))
-        .expect("write BENCH_stream.json");
-    println!("wrote {out_path}");
-
-    if let Some(baseline_path) = check {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let baseline = Json::parse(&text).expect("parse baseline");
-        let base_tps = baseline
-            .req("ticks_per_sec")
-            .and_then(|v| v.as_f64())
-            .expect("baseline ticks_per_sec");
-        println!(
-            "  regression guard: {ticks_per_sec:.0} ticks/s (baseline {base_tps:.0}, \
-             floor 0.4x), steady acquires {} (must be 0), plan builds {} (must be 0), \
-             rebinds {} (must be >= {steady_ticks})",
-            steady.alloc_acquires, steady.plan_builds, steady.plan_rebinds
-        );
-        fn fail(msg: &str) -> ! {
-            eprintln!("streaming regression: {msg}");
-            std::process::exit(1);
-        }
-        if steady.alloc_acquires != 0 {
-            fail("steady-state ticks acquired buffers (batch rebuild must be in place)");
-        }
-        if steady.plan_builds != 0 {
-            fail("steady-state scaler drift recompiled the plan (must rebind instead)");
-        }
-        if steady.plan_rebinds < steady_ticks {
-            fail("scaler drift stopped rebinding the plan affine coefficients");
-        }
-        if ticks_per_sec < 0.4 * base_tps {
-            fail("streaming throughput fell below 0.4x the committed baseline");
-        }
-    }
+    args.finish(doc, |base| {
+        vec![
+            // The batch rebuild must be in place, and scaler drift must
+            // rebind the plan's affine coefficients instead of recompiling.
+            Gate::at_most("steady-state acquires", steady.alloc_acquires as f64, 0.0),
+            Gate::at_most("steady-state plan builds", steady.plan_builds as f64, 0.0),
+            Gate::at_least("scaler rebinds", steady.plan_rebinds as f64, steady_ticks as f64),
+            Gate::at_least("ticks/s", ticks_per_sec, 0.4 * base.f64("ticks_per_sec")),
+        ]
+    });
 }

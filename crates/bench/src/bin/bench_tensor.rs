@@ -8,7 +8,8 @@
 //! pooled arm, which read as a phantom pooled regression at `threads=1`
 //! where both arms run identical code.)
 //!
-//! Usage: `bench_tensor [--out FILE] [--reps N] [--check BASELINE]`
+//! Usage: `bench_tensor [--out FILE] [--steps N] [--check BASELINE]`
+//! (`--steps` is the timing reps per arm; see `sagdfn_bench::gate`)
 //!
 //! With `--check`, two gates guard the SIMD win (exit nonzero on
 //! failure): `matmul_512`'s single-thread SIMD speedup must clear the
@@ -18,6 +19,7 @@
 //! the serial arm for every case — `scripts/check.sh` runs this as the
 //! tensor regression guard.
 
+use sagdfn_bench::gate::{self, Gate};
 use sagdfn_entmax::entmax_rows;
 use sagdfn_json::Json;
 use sagdfn_obs as obs;
@@ -146,19 +148,8 @@ impl Case {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut out_path = "BENCH_tensor.json".to_string();
-    let mut reps = 7usize;
-    let mut check: Option<String> = None;
-    let mut it = args.iter().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--out" => out_path = it.next().expect("--out needs a value").clone(),
-            "--reps" => reps = it.next().expect("--reps needs a value").parse().expect("reps"),
-            "--check" => check = Some(it.next().expect("--check needs a value").clone()),
-            other => panic!("unknown flag '{other}' (expected --out / --reps / --check)"),
-        }
-    }
+    let args = gate::Args::parse("BENCH_tensor.json", 7);
+    let reps = args.steps;
 
     println!(
         "tensor perf baseline: {} worker threads, {} reps (min kept)",
@@ -240,19 +231,11 @@ fn main() {
             Json::Arr(cases.iter().map(Case::to_json).collect()),
         ),
     ]);
-    std::fs::write(&out_path, doc.to_string_pretty().expect("serialize"))
-        .expect("write BENCH_tensor.json");
-    println!("wrote {out_path}");
-
-    if let Some(baseline_path) = check {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let baseline = Json::parse(&text).expect("parse baseline");
-        let mut failed = false;
-
-        // Gate 1: the SIMD matmul win must hold absolutely per tier and
-        // not regress more than 25% against the recorded baseline.
-        // Scalar-only hosts have nothing to compare, so they skip it.
+    args.finish(doc, |base| {
+        let mut gates = Vec::new();
+        // The SIMD matmul win must hold absolutely per tier and not
+        // regress more than 25% against a baseline recorded on the same
+        // tier. Scalar-only hosts have nothing to compare, so they skip it.
         let tier = simd_tier();
         let tier_floor = match tier {
             SimdTier::Avx512 => Some(3.0),
@@ -262,55 +245,26 @@ fn main() {
         };
         if let Some(tier_floor) = tier_floor {
             let matmul = cases.iter().find(|c| c.name == "matmul_512").expect("case");
-            let base_speedup = baseline
-                .get("cases")
-                .and_then(|c| match c {
-                    Json::Arr(items) => items.iter().find(|it| {
-                        it.get("name").and_then(|n| n.as_str().ok()) == Some("matmul_512")
-                    }),
-                    _ => None,
-                })
-                .and_then(|it| it.get("simd_speedup"))
-                .and_then(|v| v.as_f64().ok());
-            // Baseline recorded on a different tier (or pre-SIMD) can't
-            // anchor the relative check; the absolute floor still holds.
-            let same_tier =
-                baseline.get("simd_tier").and_then(|v| v.as_str().ok()) == Some(tier.name());
-            let floor = match base_speedup {
-                Some(b) if same_tier => (b * 0.75).max(tier_floor),
-                _ => tier_floor,
+            let floor = if base.at("simd_tier").as_str() == Ok(tier.name()) {
+                (base.f64("cases.name=matmul_512.simd_speedup") * 0.75).max(tier_floor)
+            } else {
+                tier_floor
             };
-            println!(
-                "  regression guard: matmul_512 simd speedup {:.2}x on {} (floor {floor:.2}x)",
+            gates.push(Gate::at_least(
+                format!("matmul_512 simd speedup on {}", tier.name()),
                 matmul.simd_speedup(),
-                tier.name()
-            );
-            if matmul.simd_speedup() < floor {
-                eprintln!("tensor regression: matmul_512 SIMD speedup fell below the floor");
-                failed = true;
-            }
+                floor,
+            ));
         } else {
-            println!("  regression guard: scalar-only host, SIMD speedup gate skipped");
+            println!("  scalar-only host: SIMD speedup gate skipped");
         }
-
-        // Gate 2: at threads=1 the pooled and serial arms run identical
-        // code, so pooled must sit within measurement noise of serial.
+        // At threads=1 the pooled and serial arms run identical code, so
+        // pooled must sit within measurement noise of serial.
         if pool::num_threads() == 1 {
-            for c in &cases {
-                if c.speedup() < 0.85 {
-                    eprintln!(
-                        "tensor regression: '{}' pooled arm is {:.2}x serial at threads=1 \
-                         (must stay >= 0.85x)",
-                        c.name,
-                        c.speedup()
-                    );
-                    failed = true;
-                }
-            }
+            gates.extend(cases.iter().map(|c| {
+                Gate::at_least(format!("{} pooled/serial at threads=1", c.name), c.speedup(), 0.85)
+            }));
         }
-
-        if failed {
-            std::process::exit(1);
-        }
-    }
+        gates
+    });
 }

@@ -16,6 +16,7 @@
 //! Usage: `bench_trace [--out FILE] [--steps N] [--check BASELINE]`
 
 use sagdfn_autodiff::Tape;
+use sagdfn_bench::gate::{self, Gate};
 use sagdfn_core::{Sagdfn, SagdfnConfig};
 use sagdfn_data::{Scale, SplitSpec, ThreeWaySplit};
 use sagdfn_json::Json;
@@ -82,19 +83,8 @@ fn run_determinism(mode: obs::TraceMode, steps: usize) -> Vec<u32> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut out_path = "BENCH_trace.json".to_string();
-    let mut steps = 12usize;
-    let mut check: Option<String> = None;
-    let mut it = args.iter().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--out" => out_path = it.next().expect("--out needs a value").clone(),
-            "--steps" => steps = it.next().expect("--steps needs a value").parse().expect("steps"),
-            "--check" => check = Some(it.next().expect("--check needs a value").clone()),
-            other => panic!("unknown flag '{other}' (expected --out / --steps / --check)"),
-        }
-    }
+    let args = gate::Args::parse("BENCH_trace.json", 12);
+    let steps = args.steps;
 
     println!(
         "trace overhead benchmark: {} worker threads, {steps} steps/block, {TIMING_REPS} reps",
@@ -174,31 +164,10 @@ fn main() {
         ("full_overhead", Json::from(full_overhead)),
         ("params_bit_identical", Json::from(identical)),
     ]);
-    std::fs::write(&out_path, doc.to_string_pretty().expect("serialize"))
-        .expect("write BENCH_trace.json");
-    println!("wrote {out_path}");
-
-    if let Some(baseline_path) = check {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let baseline = Json::parse(&text).expect("parse baseline");
-        let base_overhead = baseline
-            .req("counters_overhead")
-            .and_then(|v| v.as_f64())
-            .expect("baseline counters_overhead");
-        // The budget is absolute — counters mode must stay within 3% of
-        // off — with a 0.1 ms/step floor so sub-millisecond timer noise
-        // cannot flag a genuinely free instrumentation path.
-        let limit = off * 1.03 + 1e-4;
-        println!(
-            "  regression guard: counters {:.3} ms/step vs limit {:.3} (baseline overhead {:+.2}%)",
-            counters * 1e3,
-            limit * 1e3,
-            base_overhead * 100.0
-        );
-        if counters > limit {
-            eprintln!("trace overhead regression: counters mode exceeds the 3% budget");
-            std::process::exit(1);
-        }
-    }
+    // The budget is absolute — counters mode must stay within 3% of off
+    // — with a 0.1 ms/step floor so sub-millisecond timer noise cannot
+    // flag a genuinely free instrumentation path.
+    args.finish(doc, |_| {
+        vec![Gate::at_most("counters sec/step within 3% of off", counters, off * 1.03 + 1e-4)]
+    });
 }

@@ -15,6 +15,7 @@
 //! as the allocation-churn regression guard.
 
 use sagdfn_autodiff::Tape;
+use sagdfn_bench::gate::{self, Gate};
 use sagdfn_core::{Sagdfn, SagdfnConfig};
 use sagdfn_data::{Scale, SplitSpec, ThreeWaySplit};
 use sagdfn_json::Json;
@@ -113,19 +114,8 @@ fn mode_json(s: &ModeStats) -> Json {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut out_path = "BENCH_train.json".to_string();
-    let mut steps = 24usize;
-    let mut check: Option<String> = None;
-    let mut it = args.iter().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--out" => out_path = it.next().expect("--out needs a value").clone(),
-            "--steps" => steps = it.next().expect("--steps needs a value").parse().expect("steps"),
-            "--check" => check = Some(it.next().expect("--check needs a value").clone()),
-            other => panic!("unknown flag '{other}' (expected --out / --steps / --check)"),
-        }
-    }
+    let args = gate::Args::parse("BENCH_train.json", 24);
+    let steps = args.steps;
 
     println!(
         "train-step allocation benchmark: {} worker threads, {steps} measured steps",
@@ -173,29 +163,13 @@ fn main() {
         ("churn_ratio", Json::from(churn_ratio)),
         ("params_bit_identical", Json::from(identical)),
     ]);
-    std::fs::write(&out_path, doc.to_string_pretty().expect("serialize"))
-        .expect("write BENCH_train.json");
-    println!("wrote {out_path}");
-
-    if let Some(baseline_path) = check {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let baseline = Json::parse(&text).expect("parse baseline");
-        let base_bytes = baseline
-            .req("recycled")
-            .and_then(|r| r.req("bytes_per_step"))
-            .and_then(|b| b.as_f64())
-            .expect("baseline recycled.bytes_per_step");
-        // 25% slack plus a small absolute floor so near-zero baselines do
-        // not flag on counter noise.
-        let limit = base_bytes * 1.25 + 64.0 * 1024.0;
-        println!(
-            "  regression guard: {:.0} bytes/step vs baseline {:.0} (limit {:.0})",
-            recycled.bytes_per_step, base_bytes, limit
-        );
-        if recycled.bytes_per_step > limit {
-            eprintln!("allocation churn regression: bytes/step exceeds recorded baseline");
-            std::process::exit(1);
-        }
-    }
+    // 25% slack plus a small absolute floor so near-zero baselines do
+    // not flag on counter noise.
+    args.finish(doc, |base| {
+        vec![Gate::at_most(
+            "recycled bytes/step",
+            recycled.bytes_per_step,
+            base.f64("recycled.bytes_per_step") * 1.25 + 64.0 * 1024.0,
+        )]
+    });
 }

@@ -37,7 +37,7 @@ fn main() {
         cfg.m = (n / 2).clamp(4, 100);
         cfg.top_k = (cfg.m * 3 / 5).max(1);
         let mut model = SagdfnForecaster::new(n, cfg);
-        let (_summary, train_sec) = sagdfn_obs::timed(|| model.fit(&data.split));
+        let (_summary, train_sec) = sagdfn_bench::gate::timed(|| model.fit(&data.split));
         let mae = average(&model.evaluate(&data.split.test)).mae;
 
         // Inspect the trained adjacency.

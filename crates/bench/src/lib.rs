@@ -11,8 +11,12 @@
 //!   the full dimensions and is CPU-hours expensive);
 //! * `--seed <u64>` — dataset/model seed;
 //! * `--out <dir>` — CSV output directory (default `results/`).
+//!
+//! The eight `bench_*` regression binaries take their own flags and
+//! gate against the committed `BENCH_*.json` through [`gate`].
 
 pub mod args;
+pub mod gate;
 pub mod plot;
 pub mod runner;
 

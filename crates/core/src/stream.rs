@@ -212,7 +212,8 @@ impl StreamEngine {
     }
 
     /// Ingests one observation vector (length `N`; missing sensors report
-    /// `0.0` per the METR-LA convention) and runs the per-tick loop.
+    /// `0.0` per the METR-LA convention, and NaN/±Inf are read as
+    /// missing too) and runs the per-tick loop.
     pub fn push(&mut self, values: &[f32]) -> TickSummary {
         assert_eq!(values.len(), self.n, "tick must carry one value per node");
         // 1. Flag arrivals against the previous one-step-ahead interval
@@ -263,7 +264,7 @@ impl StreamEngine {
         let point = self.model.out_channels() == 1;
         let armed = !point || self.ewma_ready;
         for (&v, b) in values.iter().zip(&self.bounds) {
-            if v.abs() <= 1e-4 {
+            if !v.is_finite() || v.abs() <= 1e-4 {
                 continue; // missing sensor: never an anomaly
             }
             err_sum += f64::from((v - b.center).abs());
@@ -335,7 +336,12 @@ impl StreamEngine {
             self.fill += 1;
             row
         };
-        self.ring[dst * self.n..(dst + 1) * self.n].copy_from_slice(values);
+        // A non-finite reading is a broken sensor: store it as missing so
+        // it never reaches the model input, the loss or the weights.
+        let row = &mut self.ring[dst * self.n..(dst + 1) * self.n];
+        for (slot, &v) in row.iter_mut().zip(values) {
+            *slot = if v.is_finite() { v } else { 0.0 };
+        }
         self.ticks += 1;
     }
 

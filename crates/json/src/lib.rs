@@ -48,6 +48,12 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound a few kilobytes of `[`
+/// overflow the thread's stack and abort the process; the workspace's
+/// deepest real document nests about four levels.
+pub const MAX_DEPTH: usize = 128;
+
 fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
     Err(JsonError(msg.into()))
 }
@@ -134,7 +140,7 @@ impl Json {
     /// optional trailing whitespace.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser { bytes, pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -309,6 +315,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -354,8 +362,15 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let value = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(b) => err(format!("unexpected byte '{}' at {}", b as char, self.pos)),
         }
@@ -578,6 +593,16 @@ mod tests {
         assert!(v.req("s").unwrap().as_usize().is_err());
         assert!(Json::parse("-2").unwrap().as_usize().is_err());
         assert!(Json::parse("1.5").unwrap().as_usize().is_err());
+    }
+
+    #[test]
+    fn nesting_past_max_depth_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "0" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+        assert!(Json::parse(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

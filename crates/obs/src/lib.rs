@@ -1012,35 +1012,6 @@ pub fn step_rollup(step: u64) {
 }
 
 // ---------------------------------------------------------------------------
-// Bench timing helpers
-// ---------------------------------------------------------------------------
-
-/// Runs `f` once and returns its result with the elapsed wall seconds.
-pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t0 = Instant::now();
-    let r = f();
-    (r, t0.elapsed().as_secs_f64())
-}
-
-/// Min-of-reps wall timing: `warmup` untimed calls, then the fastest of
-/// `reps` timed calls — the least noisy estimate on a shared machine
-/// (drift and interrupts only ever add time). In `full` mode each timed
-/// rep is also recorded as a `name` span.
-pub fn time_min<R>(name: &'static str, warmup: usize, reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    for _ in 0..warmup {
-        std::hint::black_box(f());
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let _s = span(name);
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-// ---------------------------------------------------------------------------
 // Reporting
 // ---------------------------------------------------------------------------
 

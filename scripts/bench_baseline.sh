@@ -1,57 +1,24 @@
 #!/usr/bin/env bash
-# Records the tensor-substrate perf baseline: pooled vs serial wall time
-# for the hot kernels, written to BENCH_tensor.json at the repo root so
-# later PRs have a trajectory to compare against. Also records the
-# training-step allocation baseline (BENCH_train.json) and runs the
-# criterion pool benches for the detailed per-size picture.
+# Re-records the eight committed regression baselines (BENCH_*.json at
+# the repo root) that scripts/check.sh gates against, one per bench_*
+# binary, then runs the criterion pool benches for the detailed
+# per-size picture.
 #
-# Usage: scripts/bench_baseline.sh [out_file] [train_out_file] [diffusion_out_file] [trace_out_file] [infer_out_file] [scale_out_file] [serve_out_file] [stream_out_file]
+# Usage: scripts/bench_baseline.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-OUT="${1:-BENCH_tensor.json}"
-TRAIN_OUT="${2:-BENCH_train.json}"
-DIFF_OUT="${3:-BENCH_diffusion.json}"
-TRACE_OUT="${4:-BENCH_trace.json}"
-INFER_OUT="${5:-BENCH_infer.json}"
-SCALE_OUT="${6:-BENCH_scale.json}"
-SERVE_OUT="${7:-BENCH_serve.json}"
-STREAM_OUT="${8:-BENCH_stream.json}"
 
 echo "== building (release) =="
 cargo build --release -p sagdfn-bench
 
-echo
-echo "== tensor perf baseline -> $OUT =="
-cargo run --release -q -p sagdfn-bench --bin bench_tensor -- --out "$OUT"
-
-echo
-echo "== train-step allocation baseline -> $TRAIN_OUT =="
-cargo run --release -q -p sagdfn-bench --bin bench_train_step -- --out "$TRAIN_OUT"
-
-echo
-echo "== diffusion sparse-vs-dense baseline -> $DIFF_OUT =="
-cargo run --release -q -p sagdfn-bench --bin bench_diffusion -- --out "$DIFF_OUT"
-
-echo
-echo "== trace overhead baseline -> $TRACE_OUT =="
-cargo run --release -q -p sagdfn-bench --bin bench_trace -- --out "$TRACE_OUT"
-
-echo
-echo "== inference-path baseline -> $INFER_OUT =="
-cargo run --release -q -p sagdfn-bench --bin bench_infer -- --out "$INFER_OUT"
-
-echo
-echo "== node-sharding scale baseline -> $SCALE_OUT =="
-cargo run --release -q -p sagdfn-bench --bin bench_scale -- --out "$SCALE_OUT"
-
-echo
-echo "== serving-path baseline -> $SERVE_OUT =="
-cargo run --release -q -p sagdfn-bench --bin bench_serve -- --out "$SERVE_OUT"
-
-echo
-echo "== streaming-path baseline -> $STREAM_OUT =="
-cargo run --release -q -p sagdfn-bench --bin bench_stream -- --out "$STREAM_OUT"
+for row in tensor:bench_tensor train:bench_train_step diffusion:bench_diffusion \
+    trace:bench_trace infer:bench_infer scale:bench_scale serve:bench_serve \
+    stream:bench_stream; do
+    name="${row%%:*}" bin="${row#*:}"
+    echo
+    echo "== $bin -> BENCH_$name.json =="
+    cargo run --release -q -p sagdfn-bench --bin "$bin" -- --out "BENCH_$name.json"
+done
 
 echo
 echo "== criterion pool benches =="

@@ -15,12 +15,11 @@ echo "== cargo test -q =="
 cargo test -q
 
 echo
-echo "== in-crate tests: data, core, json, serve and CLI =="
-# The root package's suite does not reach in-crate tests; these hold
-# the step clock and window encoder, the model and streaming engine,
-# the JSON parser, the HTTP framing, the loopback round-trip and the
-# CLI's serve test.
-cargo test -q --release -p sagdfn-data -p sagdfn-core -p sagdfn-json -p sagdfn-serve -p sagdfn-cli
+echo "== in-crate tests: every workspace crate =="
+# The root package's suite does not reach the member crates' own tests
+# (kernel and SIMD-tier bit-identity units, the step clock, the JSON
+# parser, the HTTP framing, the gate harness, the CLI's serve test).
+cargo test -q --release --workspace --exclude sagdfn-repro
 
 echo
 echo "== cargo clippy -- -D warnings =="
@@ -72,131 +71,32 @@ SAGDFN_SHARDS=1 cargo test -q --release --test sparse_dense
 SAGDFN_SHARDS=4 cargo test -q --release --test sparse_dense
 
 echo
-echo "== bench_tensor smoke (SIMD + pool regression guard) =="
-TENSOR_OUT="$(mktemp)"
-trap 'rm -f "$TENSOR_OUT"' EXIT
-if [ -f BENCH_tensor.json ]; then
-    # Fails if matmul_512's single-thread SIMD speedup falls under the
-    # per-tier floor (3x on avx512) or the pooled arm regresses vs serial.
-    cargo run --release -q -p sagdfn-bench --bin bench_tensor -- \
-        --reps 7 --out "$TENSOR_OUT" --check BENCH_tensor.json
-else
-    echo "(no committed BENCH_tensor.json; smoke run only)"
-    cargo run --release -q -p sagdfn-bench --bin bench_tensor -- \
-        --reps 7 --out "$TENSOR_OUT"
-fi
-
-echo
-echo "== bench_train_step smoke (allocation-churn regression guard) =="
-SMOKE_OUT="$(mktemp)"
-trap 'rm -f "$TENSOR_OUT" "$SMOKE_OUT"' EXIT
-if [ -f BENCH_train.json ]; then
-    # Fails if recycled bytes/step regresses past the committed baseline.
-    cargo run --release -q -p sagdfn-bench --bin bench_train_step -- \
-        --steps 6 --out "$SMOKE_OUT" --check BENCH_train.json
-else
-    echo "(no committed BENCH_train.json; smoke run only)"
-    cargo run --release -q -p sagdfn-bench --bin bench_train_step -- \
-        --steps 6 --out "$SMOKE_OUT"
-fi
-
-echo
-echo "== bench_diffusion smoke (sparse-kernel regression guard) =="
-DIFF_OUT="$(mktemp)"
-trap 'rm -f "$TENSOR_OUT" "$SMOKE_OUT" "$DIFF_OUT"' EXIT
-if [ -f BENCH_diffusion.json ]; then
-    # Fails if the 90%-zeros sparse speedup collapses or the auto
-    # dispatch stops falling back to dense on dense adjacencies.
-    cargo run --release -q -p sagdfn-bench --bin bench_diffusion -- \
-        --steps 6 --out "$DIFF_OUT" --check BENCH_diffusion.json
-else
-    echo "(no committed BENCH_diffusion.json; smoke run only)"
-    cargo run --release -q -p sagdfn-bench --bin bench_diffusion -- \
-        --steps 6 --out "$DIFF_OUT"
-fi
-
-echo
-echo "== bench_scale smoke (node-sharding scale guard) =="
-SCALE_OUT="$(mktemp)"
-trap 'rm -f "$TENSOR_OUT" "$SMOKE_OUT" "$DIFF_OUT" "$SCALE_OUT"' EXIT
-if [ -f BENCH_scale.json ]; then
-    # Fails if any N stops completing train+eval, the N=20000 sharded
-    # plan stops fitting the V100 budget (or the dense baseline stops
-    # provably overflowing it), or seconds/step regresses past 1.5x.
-    cargo run --release -q -p sagdfn-bench --bin bench_scale -- \
-        --steps 2 --out "$SCALE_OUT" --check BENCH_scale.json
-else
-    echo "(no committed BENCH_scale.json; smoke run only)"
-    cargo run --release -q -p sagdfn-bench --bin bench_scale -- \
-        --steps 2 --out "$SCALE_OUT"
-fi
-
-echo
-echo "== bench_trace smoke (observability overhead guard) =="
-TRACE_OUT="$(mktemp)"
-trap 'rm -f "$TENSOR_OUT" "$SMOKE_OUT" "$DIFF_OUT" "$SCALE_OUT" "$TRACE_OUT"' EXIT
-if [ -f BENCH_trace.json ]; then
-    # Fails if counters-mode tracing costs more than 3% over off, or if
-    # any trace mode perturbs training results.
-    cargo run --release -q -p sagdfn-bench --bin bench_trace -- \
-        --steps 6 --out "$TRACE_OUT" --check BENCH_trace.json
-else
-    echo "(no committed BENCH_trace.json; smoke run only)"
-    cargo run --release -q -p sagdfn-bench --bin bench_trace -- \
-        --steps 6 --out "$TRACE_OUT"
-fi
-
-echo
-echo "== bench_infer smoke (inference-path regression guard) =="
-INFER_OUT="$(mktemp)"
-trap 'rm -f "$TENSOR_OUT" "$SMOKE_OUT" "$DIFF_OUT" "$SCALE_OUT" "$TRACE_OUT" "$INFER_OUT"' EXIT
-if [ -f BENCH_infer.json ]; then
-    # Fails if the frozen-plan no-grad eval drops below 1.3x taped-eval
-    # throughput, the no-grad tape falls behind the taped eval, the
-    # compiled plan executor drops below 2.5x taped, the plan cache stops
-    # hitting, a steady-state planned pass acquires buffers, or any eval
-    # mode changes predictions.
-    cargo run --release -q -p sagdfn-bench --bin bench_infer -- \
-        --steps 6 --out "$INFER_OUT" --check BENCH_infer.json
-else
-    echo "(no committed BENCH_infer.json; smoke run only)"
-    cargo run --release -q -p sagdfn-bench --bin bench_infer -- \
-        --steps 6 --out "$INFER_OUT"
-fi
-
-echo
-echo "== bench_serve smoke (serving-path regression guard) =="
-SERVE_OUT="$(mktemp)"
-trap 'rm -f "$TENSOR_OUT" "$SMOKE_OUT" "$DIFF_OUT" "$SCALE_OUT" "$TRACE_OUT" "$INFER_OUT" "$SERVE_OUT"' EXIT
-if [ -f BENCH_serve.json ]; then
-    # Fails if micro-batched throughput drops below 3x the per-request
-    # interpreted path, a steady-state batch acquires buffers, the
-    # 1000-client closed-loop arm stops completing requests or its p99
-    # exceeds 500 ms, or batched responses stop being bit-identical.
-    cargo run --release -q -p sagdfn-bench --bin bench_serve -- \
-        --steps 5 --secs 0.5 --out "$SERVE_OUT" --check BENCH_serve.json
-else
-    echo "(no committed BENCH_serve.json; smoke run only)"
-    cargo run --release -q -p sagdfn-bench --bin bench_serve -- \
-        --steps 5 --secs 0.5 --out "$SERVE_OUT"
-fi
-
-echo
-echo "== bench_stream smoke (streaming-path regression guard) =="
-STREAM_OUT="$(mktemp)"
-trap 'rm -f "$TENSOR_OUT" "$SMOKE_OUT" "$DIFF_OUT" "$SCALE_OUT" "$TRACE_OUT" "$INFER_OUT" "$SERVE_OUT" "$STREAM_OUT"' EXIT
-if [ -f BENCH_stream.json ]; then
-    # Fails if steady-state ticks acquire buffers or recompile the plan
-    # (scaler drift must rebind in place), if rebinds stop tracking
-    # ticks, or if throughput falls below 0.4x the committed baseline.
-    # Plan-on/off bit-identity and fine-tune cadence are asserted in-run.
-    cargo run --release -q -p sagdfn-bench --bin bench_stream -- \
-        --steps 3 --out "$STREAM_OUT" --check BENCH_stream.json
-else
-    echo "(no committed BENCH_stream.json; smoke run only)"
-    cargo run --release -q -p sagdfn-bench --bin bench_stream -- \
-        --steps 3 --out "$STREAM_OUT"
-fi
+echo "== regression gates: each bench_* --check against its committed BENCH_*.json =="
+# Every baseline is committed, so a missing one fails here instead of
+# degrading to a smoke run. Each binary lists all of its gates (value,
+# limit, pass/FAIL) and exits 1 if any failed; the gates themselves live
+# in the binaries (crates/bench/src/bin/bench_*.rs).
+#   binary            baseline   run-size flags
+GATES=(
+    "bench_tensor      tensor     --steps 7"
+    "bench_train_step  train      --steps 6"
+    "bench_diffusion   diffusion  --steps 6"
+    "bench_scale       scale      --steps 2"
+    "bench_trace       trace      --steps 6"
+    "bench_infer       infer      --steps 6"
+    "bench_serve       serve      --steps 5 --secs 0.5"
+    "bench_stream      stream     --steps 3"
+)
+GATE_OUT="$(mktemp -d)"
+trap 'rm -rf "$GATE_OUT"' EXIT
+for row in "${GATES[@]}"; do
+    read -r bin name flags <<< "$row"
+    echo
+    echo "-- $bin --check BENCH_$name.json"
+    # shellcheck disable=SC2086  # $flags is a word list
+    cargo run --release -q -p sagdfn-bench --bin "$bin" -- $flags \
+        --out "$GATE_OUT/$name.json" --check "BENCH_$name.json"
+done
 
 echo
 echo "check.sh: all green"

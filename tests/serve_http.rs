@@ -188,9 +188,12 @@ fn out_of_range_start_and_non_finite_history_answer_400_and_the_tenant_keeps_ser
     // fits in a u64, so that one is served.
     let mut inf = values.clone();
     inf[1] = "1e39".into(); // overflows f32 to +inf
+    // 100 000 nested arrays would overflow the connection thread's stack
+    // without the parser's depth bound.
     let rejected = [
         raw_forecast_request("18446744073709551616", &values.join(",")),
         raw_forecast_request(&start.to_string(), &inf.join(",")),
+        raw_forecast_request(&start.to_string(), &"[".repeat(100_000)),
     ];
     for request in &rejected {
         writer.write_all(request).expect("send request");

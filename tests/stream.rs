@@ -205,3 +205,44 @@ fn fine_tuning_streams_stay_deterministic() {
     assert_eq!((bursts_a, iters_a), (bursts_b, iters_b));
     assert_eq!(bits_a, bits_b, "continual fine-tuning must be deterministic");
 }
+
+#[test]
+fn non_finite_ticks_stream_exactly_like_missing_zeros() {
+    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let run = |bad: [f32; 3]| {
+        let (engine, ticks) = workload();
+        let mut cfg = *engine.config();
+        cfg.fine_tune = true;
+        cfg.ft_every = 6;
+        cfg.ft_steps = 1;
+        let scaler = engine.scaler();
+        let mut engine = StreamEngine::new(engine.into_model(), scaler, cfg, 5, 0);
+        let mut anomalies = Vec::new();
+        let mut forecast_bits = Vec::new();
+        for (t, row) in ticks.iter().take(40).enumerate() {
+            let mut row = row.clone();
+            if t % 5 == 3 {
+                let n = row.len();
+                for (k, &v) in bad.iter().enumerate() {
+                    row[(t + 3 * k) % n] = v;
+                }
+            }
+            anomalies.push(engine.push(&row).anomalies);
+            if let Some(f) = engine.forecast() {
+                forecast_bits.extend(f.as_slice().iter().map(|v| v.to_bits()));
+            }
+        }
+        let params = &engine.model().params;
+        let param_bits: Vec<u32> = params
+            .ids()
+            .flat_map(|id| params.get(id).as_slice().iter().map(|v| v.to_bits()))
+            .collect();
+        (anomalies, forecast_bits, param_bits, engine.model().iterations())
+    };
+    let poisoned = run([f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
+    let zeros = run([0.0; 3]);
+    assert!(zeros.3 > 0, "fine-tune bursts must fire");
+    assert_eq!(poisoned.0, zeros.0, "anomaly counts");
+    assert_eq!(poisoned.1, zeros.1, "forecast bits");
+    assert_eq!(poisoned.2, zeros.2, "fine-tuned parameter bits");
+}
