@@ -16,7 +16,10 @@
 //! against [`PLAN_REUSE`] = 24 triples — 6× more build cost per triple
 //! than the default model actually pays.
 //!
-//! Usage: `bench_diffusion [--out FILE] [--steps N] [--check BASELINE]`
+//! Each configuration's arms race each other ([`gate::race`]), so every
+//! speedup divides two times taken in the same stretch of host speed.
+//!
+//! Usage: `bench_diffusion [--out FILE] [--check BASELINE]`
 //!
 //! With `--check`, three gates guard the sparsity win (exit nonzero on
 //! failure): the 90 %-zeros speedup must stay ≥ 1.2× (and within 25 % of
@@ -25,12 +28,15 @@
 //! must fall back to the dense GEMM on a fully dense adjacency —
 //! `scripts/check.sh` runs this as the diffusion regression guard.
 
-use sagdfn_bench::gate::{self, time_min, Gate};
+use sagdfn_bench::gate::{self, Gate};
 use sagdfn_json::Json;
 use sagdfn_tensor::sparse::{dadj_dense, spmm_dispatch, Csr, SpmmDispatch};
 use sagdfn_tensor::{pool, Rng64, Tensor};
+use std::hint::black_box;
 
 const WARMUP_STEPS: usize = 2;
+/// Timed rounds per configuration.
+const REPS: usize = 40;
 const BATCH: usize = 4;
 const CHANNELS: usize = 32;
 /// Diffusion triples one CSR build is amortized over (see module doc:
@@ -70,8 +76,11 @@ struct Measurement {
     forced_sparse_sec: Option<f64>,
 }
 
-/// Times `steps` iterations of forward + backward diffusion kernels.
-fn measure(cfg: &Config, steps: usize) -> Measurement {
+/// Races one configuration's forward + backward diffusion kernels: the
+/// dense GEMMs, the dispatched pipeline, the CSR build and — when the
+/// auto dispatch left the CSR products unused on an adjacency that *does*
+/// have zeros — the full-CSR pipeline for the kernel trend line.
+fn measure(cfg: &Config) -> Measurement {
     let a = make_adjacency(cfg.n, cfg.m, cfg.zero_frac, 42);
     let nnz = a.as_slice().iter().filter(|&&v| v != 0.0).count();
     let mut rng = Rng64::new(7);
@@ -98,30 +107,41 @@ fn measure(cfg: &Config, steps: usize) -> Measurement {
         (y, dx, da)
     };
 
-    let dense_sec = time_min("diffusion_dense", WARMUP_STEPS, steps, &dense_step);
-    let build_sec = time_min("diffusion_csr_build", WARMUP_STEPS, steps, &|| {
-        Csr::from_dense(&a);
-    });
-    let build_share = build_sec / PLAN_REUSE as f64;
-
-    // The auto-dispatched arm: exactly what `Adjacency::plan_for` runs,
-    // with the once-per-pass build amortized per the module doc.
+    // The auto-dispatched arm: exactly what `Adjacency::plan_for` runs.
     let dispatch = spmm_dispatch(cfg.n, cfg.m, BATCH, nnz);
-    let sparse_sec = match dispatch {
-        SpmmDispatch::Dense => time_min("diffusion_sparse", WARMUP_STEPS, steps, &dense_step),
-        SpmmDispatch::Hybrid => {
-            time_min("diffusion_sparse", WARMUP_STEPS, steps, &hybrid_step) + build_share
-        }
-        SpmmDispatch::Sparse => {
-            time_min("diffusion_sparse", WARMUP_STEPS, steps, &csr_step) + build_share
-        }
+    let forced = dispatch != SpmmDispatch::Sparse && nnz < a.numel();
+    let mut dense_arm = || {
+        black_box(dense_step());
     };
-    // When the auto dispatch left the CSR products unused on an
-    // adjacency that *does* have zeros, also time the full-CSR pipeline
-    // for the kernel trend line.
-    let forced_sparse_sec = (dispatch != SpmmDispatch::Sparse && nnz < a.numel()).then(|| {
-        time_min("diffusion_sparse_forced", WARMUP_STEPS, steps, &csr_step) + build_share
-    });
+    let mut sparse_arm = || {
+        black_box(match dispatch {
+            SpmmDispatch::Dense => dense_step(),
+            SpmmDispatch::Hybrid => hybrid_step(),
+            SpmmDispatch::Sparse => csr_step(),
+        });
+    };
+    let mut build_arm = || {
+        black_box(Csr::from_dense(&a));
+    };
+    let mut forced_arm = || {
+        black_box(csr_step());
+    };
+    // The gated pair races alone (see `gate::race`).
+    let t = gate::race(WARMUP_STEPS, REPS, &mut [&mut dense_arm, &mut sparse_arm]);
+    let mut arms: Vec<&mut dyn FnMut()> = vec![&mut build_arm];
+    if forced {
+        arms.push(&mut forced_arm);
+    }
+    let u = gate::race(WARMUP_STEPS, REPS, &mut arms);
+
+    // The once-per-pass build, amortized per the module doc, is charged
+    // to every arm that reads the CSR.
+    let (dense_sec, build_sec) = (t[0], u[0]);
+    let build_share = build_sec / PLAN_REUSE as f64;
+    let sparse_sec = match dispatch {
+        SpmmDispatch::Dense => t[1],
+        SpmmDispatch::Hybrid | SpmmDispatch::Sparse => t[1] + build_share,
+    };
     Measurement {
         nnz,
         dense_sec,
@@ -129,7 +149,7 @@ fn measure(cfg: &Config, steps: usize) -> Measurement {
         speedup: dense_sec / sparse_sec,
         dispatch,
         build_sec,
-        forced_sparse_sec,
+        forced_sparse_sec: forced.then(|| u[1] + build_share),
     }
 }
 
@@ -142,11 +162,10 @@ fn dispatch_name(d: SpmmDispatch) -> &'static str {
 }
 
 fn main() {
-    let args = gate::Args::parse("BENCH_diffusion.json", 8);
-    let steps = args.steps;
+    let args = gate::Args::parse("BENCH_diffusion.json");
 
     println!(
-        "diffusion kernel benchmark: {} worker threads, {steps} measured steps, B={BATCH} \
+        "diffusion kernel benchmark: {} worker threads, {REPS} measured steps, B={BATCH} \
          c={CHANNELS}, build amortized over {PLAN_REUSE} triples",
         pool::num_threads()
     );
@@ -165,7 +184,7 @@ fn main() {
         let m = (n / 4).clamp(16, 512);
         for &zero_frac in &[0.0f32, 0.5, 0.9] {
             let cfg = Config { n, m, zero_frac };
-            let r = measure(&cfg, steps);
+            let r = measure(&cfg);
             println!(
                 "{n:>6} {m:>6} {zero_frac:>6.1} {:>10} {:>12.3} {:>12.3} {:>8.2}x {:>9}",
                 r.nnz,
@@ -224,7 +243,7 @@ fn main() {
 
     let doc = Json::obj([
         ("threads", Json::from(pool::num_threads())),
-        ("steps", Json::from(steps)),
+        ("steps", Json::from(REPS)),
         ("batch", Json::from(BATCH)),
         ("channels", Json::from(CHANNELS)),
         ("plan_reuse", Json::from(PLAN_REUSE)),

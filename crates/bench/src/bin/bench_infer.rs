@@ -6,9 +6,11 @@
 //! (`SAGDFN_PLAN`, the default `Mode::Eval` path since the plan-executor
 //! change). Writes `BENCH_infer.json`.
 //!
-//! The four arms are timed *interleaved* — every rep runs one pass of
-//! each arm back to back — and each pass is timed individually with the
-//! per-arm minimum reported. Eval passes here run in single-digit
+//! Each of the three faster modes races the taped arm on its own
+//! ([`gate::race`]) — every round runs one pass of each arm back to back
+//! — and each pass is timed individually with the per-arm minimum
+//! reported; a speedup divides the two minima of one race. Eval passes
+//! here run in single-digit
 //! milliseconds: one scheduler hiccup inside a single accumulated
 //! measurement, or CPU frequency drift between two arms timed in
 //! separate blocks, can invert a real 1.6x speedup into an apparent
@@ -21,7 +23,7 @@
 //! hits and the planned mode must run its compiled schedule with zero
 //! steady-state allocator acquires.
 //!
-//! Usage: `bench_infer [--out FILE] [--steps N] [--check BASELINE]`
+//! Usage: `bench_infer [--out FILE] [--check BASELINE]`
 //!
 //! With `--check`, the process exits nonzero unless the no-grad tape is
 //! at least as fast as the taped eval, the frozen-plan eval is >= 1.3x
@@ -37,9 +39,10 @@ use sagdfn_data::{Batch, SplitSpec, ThreeWaySplit};
 use sagdfn_json::Json;
 use sagdfn_obs as obs;
 use sagdfn_tensor::{pool, Tensor};
-use std::time::Instant;
 
 const WARMUP_REPS: usize = 2;
+/// Timed rounds.
+const REPS: usize = 12;
 
 /// How a benchmark pass executes the forward.
 #[derive(Clone, Copy, PartialEq)]
@@ -83,16 +86,16 @@ fn workload() -> (Sagdfn, ThreeWaySplit) {
     (model, split)
 }
 
-/// One full pass over the eval split in the given mode, returning its
-/// wall-clock seconds. Collects every prediction's bit pattern into
-/// `bits` when provided (pass `None` for timed reps).
+/// One full pass over the eval split in the given mode. Collects every
+/// prediction's bit pattern into `bits` when provided (pass `None` for
+/// timed reps).
 fn one_pass(
     model: &Sagdfn,
     split: &ThreeWaySplit,
     batches: &[Vec<usize>],
     kind: RunKind,
     mut bits: Option<&mut Vec<u32>>,
-) -> f64 {
+) {
     // The frozen arm must measure the *interpreted* eval path, so the
     // plan executor is pinned off for every arm except Planned.
     let prev_plan = set_plan_mode(if kind == RunKind::Planned {
@@ -107,7 +110,6 @@ fn one_pass(
     } else {
         Mode::Train // dropout is 0, so train-mode math == eval math
     };
-    let t0 = Instant::now();
     for ids in batches {
         let _step = obs::kernel(obs::Kernel::EvalStep, 0, 0, 0);
         let batch = split.test.make_batch(ids);
@@ -120,9 +122,7 @@ fn one_pass(
             bits.extend(pred.as_slice().iter().map(|v| v.to_bits()));
         }
     }
-    let seconds = t0.elapsed().as_secs_f64();
     set_plan_mode(prev_plan);
-    seconds
 }
 
 /// Measures allocator acquires across one steady-state planned pass:
@@ -159,8 +159,7 @@ fn planned_steady_state_acquires(model: &Sagdfn, split: &ThreeWaySplit) -> u64 {
 }
 
 fn main() {
-    let args = gate::Args::parse("BENCH_infer.json", 12);
-    let reps = args.steps;
+    let args = gate::Args::parse("BENCH_infer.json");
 
     // Counters stay on for every mode (same overhead everywhere) so the
     // plan-cache build/hit tally and per-op schedule times are visible.
@@ -168,7 +167,7 @@ fn main() {
 
     let (model, split) = workload();
     println!(
-        "inference benchmark: {} worker threads, {} nodes, {} eval windows, {reps} reps",
+        "inference benchmark: {} worker threads, {} nodes, {} eval windows, {REPS} reps",
         pool::num_threads(),
         model.n(),
         split.test.len()
@@ -182,47 +181,41 @@ fn main() {
     ];
     let batches: Vec<Vec<usize>> = split.test.batch_ids(model.config().batch_size, None);
     // One plan invalidation up front: the first frozen-path pass pays the
-    // single adjacency build and schedule compile during warmup, then
-    // every later pass hits the caches.
+    // single adjacency build and schedule compile, then every later pass
+    // hits the caches.
     model.invalidate_plan();
     let counters_before = obs::snapshot();
-    let mut all_bits: Vec<Vec<u32>> = Vec::new();
-    for kind in kinds {
-        for _ in 0..WARMUP_REPS {
-            one_pass(&model, &split, &batches, kind, None);
-        }
+    let all_bits = kinds.map(|kind| {
         let mut bits = Vec::new();
         one_pass(&model, &split, &batches, kind, Some(&mut bits));
-        all_bits.push(bits);
-    }
-    // Interleaved, order-alternating timing: each rep runs one pass of
-    // every arm back to back so frequency drift hits all arms alike, and
-    // odd reps reverse the arm order so no arm always inherits the
-    // thermal/boost state left by the longest arm; min-of-reps per arm.
-    let mut best = [f64::INFINITY; 4];
-    for rep in 0..reps {
-        let order: Vec<usize> = if rep % 2 == 0 {
-            (0..kinds.len()).collect()
-        } else {
-            (0..kinds.len()).rev().collect()
-        };
-        for k in order {
-            best[k] = best[k].min(one_pass(&model, &split, &batches, kinds[k], None));
-        }
-    }
+        bits
+    });
+    // Each eval mode races the taped pass alone (see `gate::race`); each
+    // entry is (taped, mode) seconds.
+    let arm = |kind| {
+        let (model, split, batches) = (&model, &split, &batches);
+        move || one_pass(model, split, batches, kind, None)
+    };
+    let [rebuilt, frozen, planned] =
+        [RunKind::NoGradRebuilt, RunKind::NoGradFrozen, RunKind::Planned].map(|kind| {
+            let t = gate::race(WARMUP_REPS, REPS, &mut [&mut arm(RunKind::Taped), &mut arm(kind)]);
+            (t[0], t[1])
+        });
     let counters = obs::snapshot().since(&counters_before);
-    let per_batch = |k: usize| best[k] / batches.len() as f64;
-    let (taped_spb, rebuilt_spb, frozen_spb, planned_spb) =
-        (per_batch(0), per_batch(1), per_batch(2), per_batch(3));
-    let [taped_bits, rebuilt_bits, frozen_bits, planned_bits] =
-        <[Vec<u32>; 4]>::try_from(all_bits).expect("four arms");
+    let per_batch = |sec: f64| sec / batches.len() as f64;
+    let (speedup_nograd, speedup_frozen, speedup_planned) =
+        (rebuilt.0 / rebuilt.1, frozen.0 / frozen.1, planned.0 / planned.1);
+    let (taped_spb, rebuilt_spb, frozen_spb, planned_spb) = (
+        per_batch(rebuilt.0.min(frozen.0).min(planned.0)),
+        per_batch(rebuilt.1),
+        per_batch(frozen.1),
+        per_batch(planned.1),
+    );
+    let [taped_bits, rebuilt_bits, frozen_bits, planned_bits] = all_bits;
     let planned_acquires = planned_steady_state_acquires(&model, &split);
 
     let bit_identical =
         taped_bits == rebuilt_bits && taped_bits == frozen_bits && taped_bits == planned_bits;
-    let speedup_nograd = taped_spb / rebuilt_spb;
-    let speedup_frozen = taped_spb / frozen_spb;
-    let speedup_planned = taped_spb / planned_spb;
     println!("  taped           {:>9.3} ms/batch", taped_spb * 1e3);
     println!(
         "  no-grad rebuilt {:>9.3} ms/batch   ({speedup_nograd:.2}x vs taped)",
@@ -259,7 +252,7 @@ fn main() {
 
     let doc = Json::obj([
         ("threads", Json::from(pool::num_threads())),
-        ("reps", Json::from(reps)),
+        ("reps", Json::from(REPS)),
         ("nodes", Json::from(model.n())),
         ("taped_seconds_per_batch", Json::from(taped_spb)),
         ("nograd_seconds_per_batch", Json::from(rebuilt_spb)),

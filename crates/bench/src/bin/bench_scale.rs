@@ -1,9 +1,13 @@
 //! Paper-scale node-sharding benchmark: trains and evaluates a slim
 //! SAGDFN at N ∈ {2000, 8000, 20000} through the node-sharded diffusion
-//! stack (DESIGN.md §14) and records seconds/step (min over the measured
-//! steps, the repo's stall-immune timing idiom) plus peak live bytes
+//! stack (DESIGN.md §14) and records seconds/step plus peak live bytes
 //! for both phases, alongside the `sagdfn-memsim` shard plan that picked
 //! each shard count. Writes `BENCH_scale.json`.
+//!
+//! Each phase's step races a fixed scalar [`reference`] loop
+//! ([`gate::race`]), and the gate reads step time / reference time. The
+//! reference calls no `sagdfn_*` code, so a slower host moves both arms
+//! while a slower library moves only the step.
 //!
 //! The N = 20000 row carries the PR's scalability claim: the memsim model
 //! shows a dense `N×N`-adjacency baseline (GTS-shaped, Table I) is orders
@@ -16,17 +20,18 @@
 //! sweep stays CI-sized; the shard *planning* always uses the paper's
 //! dims, which is what the fits/OOM verdicts are about.
 //!
-//! Usage: `bench_scale [--out FILE] [--steps N] [--check BASELINE]`
+//! Usage: `bench_scale [--out FILE] [--check BASELINE]`
 //!
 //! With `--check`, the gates are: every N completes train+eval; at
 //! N = 20000 the sharded plan fits a V100-32GB while the unsharded
 //! SAGDFN working set and the dense-adjacency baseline both exceed it
 //! (per memsim, so the dense path would provably OOM); the resolved shard
 //! count matches the plan (when `SAGDFN_SHARDS` does not override it);
-//! and seconds/step stays within 1.5× of the recorded baseline.
+//! and each phase's step/reference ratio stays within 1.5× of the
+//! recorded baseline, plus 1 ms of step time in reference units.
 
 use sagdfn_autodiff::Tape;
-use sagdfn_bench::gate::{self, time_min, Gate};
+use sagdfn_bench::gate::{self, Gate};
 use sagdfn_core::{Sagdfn, SagdfnConfig};
 use sagdfn_data::{Batch, ZScore};
 use sagdfn_json::Json;
@@ -38,6 +43,17 @@ const H_LEN: usize = 4;
 const F_LEN: usize = 4;
 const BATCH: usize = 2;
 const WARMUP_STEPS: usize = 1;
+/// Timed rounds per race.
+const REPS: usize = 5;
+/// The reference arm's buffer: 16 MiB, past the per-core caches.
+const REFERENCE_LEN: usize = 1 << 22;
+
+/// The reference arm: eight passes of a dependent scalar multiply-add
+/// chain over `buf` (about 0.1 s), which the compiler can neither
+/// vectorize nor reorder.
+fn reference(buf: &[f32]) -> f32 {
+    (0..8).fold(0.0f32, |acc, _| buf.iter().fold(acc, |acc, &x| acc * 0.999 + x))
+}
 
 /// A synthetic traffic-shaped batch for `n` nodes. The dataset
 /// generators build dense `N×N` latent graphs, which is exactly what
@@ -54,7 +70,26 @@ fn make_batch(n: usize, rng: &mut Rng64) -> Batch {
 
 struct Phase {
     seconds_per_step: f64,
+    /// Step time / reference time, raced in the same rounds.
+    per_reference: f64,
     peak_bytes: usize,
+}
+
+/// Races `step` (after its warm-up, which is outside the peak) against
+/// the reference arm.
+fn race_phase(buf: &[f32], mut step: impl FnMut()) -> Phase {
+    for _ in 0..WARMUP_STEPS {
+        step();
+    }
+    alloc::reset_peak();
+    let t = gate::race(0, REPS, &mut [&mut step, &mut || {
+        std::hint::black_box(reference(buf));
+    }]);
+    Phase {
+        seconds_per_step: t[0],
+        per_reference: t[0] / t[1],
+        peak_bytes: alloc::peak_bytes(),
+    }
 }
 
 struct Case {
@@ -68,7 +103,7 @@ struct Case {
     dense_would_oom: bool,
 }
 
-fn run_case(n: usize, steps: usize) -> Case {
+fn run_case(n: usize, buf: &[f32]) -> Case {
     let cfg = SagdfnConfig {
         embed_dim: 16,
         m: 32,
@@ -107,31 +142,17 @@ fn run_case(n: usize, steps: usize) -> Case {
         tape.recycle_gradients(grads);
         model.tick();
     };
-    for _ in 0..WARMUP_STEPS {
-        train_step(&mut model);
-    }
-    alloc::reset_peak();
-    // Min over the measured steps (the repo's standard for regression-gated
-    // timings): a single scheduler stall on a busy CI box would otherwise
-    // inflate a mean and trip the 1.5× guard without any code change.
-    let train_sec = time_min("bench_scale.train_step", 0, steps, || train_step(&mut model));
-    let train = Phase { seconds_per_step: train_sec, peak_bytes: alloc::peak_bytes() };
+    let train = race_phase(buf, || train_step(&mut model));
 
-    let eval_step = |model: &Sagdfn| {
+    // Warmup builds the frozen adjacency (sharded assembly when k > 1)
+    // and compiles the plan-executor schedule.
+    let eval = race_phase(buf, || {
         let eval_tape = Tape::new();
         let _guard = eval_tape.no_grad();
         let bind = model.params.bind(&eval_tape);
         let pred = model.forward(&eval_tape, &bind, &batch, scaler, Mode::Eval);
         std::hint::black_box(pred.value());
-    };
-    // Warmup builds the frozen adjacency (sharded assembly when k > 1)
-    // and compiles the plan-executor schedule.
-    for _ in 0..WARMUP_STEPS {
-        eval_step(&model);
-    }
-    alloc::reset_peak();
-    let eval_sec = time_min("bench_scale.eval_step", 0, steps, || eval_step(&model));
-    let eval = Phase { seconds_per_step: eval_sec, peak_bytes: alloc::peak_bytes() };
+    });
 
     // The memory verdicts are at the *paper's* dims for this N: what the
     // shard planner is solving for on real hardware.
@@ -154,8 +175,10 @@ fn case_json(c: &Case) -> Json {
         ("n", Json::from(c.n)),
         ("shards", Json::from(c.shards)),
         ("train_sec_per_step", Json::from(c.train.seconds_per_step)),
+        ("train_per_reference", Json::from(c.train.per_reference)),
         ("train_peak_bytes", Json::from(c.train.peak_bytes)),
         ("eval_sec_per_step", Json::from(c.eval.seconds_per_step)),
+        ("eval_per_reference", Json::from(c.eval.per_reference)),
         ("eval_peak_bytes", Json::from(c.eval.peak_bytes)),
         ("plan_shards", Json::from(c.plan.shards)),
         ("plan_shard_rows", Json::from(c.plan.shard_rows)),
@@ -169,28 +192,40 @@ fn case_json(c: &Case) -> Json {
 }
 
 fn main() {
-    let args = gate::Args::parse("BENCH_scale.json", 3);
-    let steps = args.steps;
+    let args = gate::Args::parse("BENCH_scale.json");
+    let mut rng = Rng64::new(0xbe7c);
+    let buf: Vec<f32> = (0..REFERENCE_LEN).map(|_| rng.next_f32()).collect();
 
     println!(
-        "paper-scale sharding benchmark: {} worker threads, {steps} measured steps, \
+        "paper-scale sharding benchmark: {} worker threads, {REPS} measured steps, \
          B={BATCH} h={H_LEN} f={F_LEN}",
         pool::num_threads()
     );
     println!(
-        "{:>7} {:>7} {:>12} {:>12} {:>14} {:>14} {:>10} {:>10}",
-        "N", "shards", "train ms", "eval ms", "train peak MB", "eval peak MB", "plan fits", "dense OOM"
+        "{:>7} {:>7} {:>12} {:>9} {:>12} {:>9} {:>14} {:>14} {:>10} {:>10}",
+        "N",
+        "shards",
+        "train ms",
+        "/ ref",
+        "eval ms",
+        "/ ref",
+        "train peak MB",
+        "eval peak MB",
+        "plan fits",
+        "dense OOM"
     );
 
     let mut cases = Vec::new();
     for &n in &[2000usize, 8000, 20000] {
-        let c = run_case(n, steps);
+        let c = run_case(n, &buf);
         println!(
-            "{:>7} {:>7} {:>12.1} {:>12.1} {:>14.1} {:>14.1} {:>10} {:>10}",
+            "{:>7} {:>7} {:>12.1} {:>9.3} {:>12.1} {:>9.3} {:>14.1} {:>14.1} {:>10} {:>10}",
             c.n,
             c.shards,
             c.train.seconds_per_step * 1e3,
+            c.train.per_reference,
             c.eval.seconds_per_step * 1e3,
+            c.eval.per_reference,
             c.train.peak_bytes as f64 / 1e6,
             c.eval.peak_bytes as f64 / 1e6,
             c.plan.fits,
@@ -210,7 +245,7 @@ fn main() {
 
     let doc = Json::obj([
         ("threads", Json::from(pool::num_threads())),
-        ("steps", Json::from(steps)),
+        ("steps", Json::from(REPS)),
         ("batch", Json::from(BATCH)),
         ("cases", Json::Arr(cases.iter().map(case_json).collect())),
     ]);
@@ -240,13 +275,12 @@ fn main() {
             ));
         }
         for c in &cases {
-            for (phase, sec) in [
-                ("train_sec_per_step", c.train.seconds_per_step),
-                ("eval_sec_per_step", c.eval.seconds_per_step),
-            ] {
-                // 1.5x slack: wall-clock gates on shared CI need room.
-                let limit = base.f64(&format!("cases.n={}.{phase}", c.n)) * 1.5 + 1e-3;
-                gates.push(Gate::at_most(format!("N={} {phase}", c.n), sec, limit));
+            for (phase, p) in [("train_per_reference", &c.train), ("eval_per_reference", &c.eval)] {
+                // 1.5x slack, plus 1 ms of step time in reference units.
+                let reference_sec = p.seconds_per_step / p.per_reference;
+                let limit =
+                    base.f64(&format!("cases.n={}.{phase}", c.n)) * 1.5 + 1e-3 / reference_sec;
+                gates.push(Gate::at_most(format!("N={} {phase}", c.n), p.per_reference, limit));
             }
         }
         gates

@@ -6,8 +6,8 @@
 //!    naive per-request server would run — dispatcher cap 1, plan
 //!    executor off) must lose on throughput to the serving pipeline
 //!    (cap 32 coalescing into the compiled plan executor). Both arms
-//!    are timed interleaved with the per-arm minimum reported, and
-//!    their responses compared bitwise — the serving oracle's
+//!    race each other ([`gate::race`]) and their responses are
+//!    compared bitwise — the serving oracle's
 //!    plan-mode × batching contract, measured on the real dispatcher.
 //! 2. **Zero steady-state acquires.** After the first batch of each
 //!    size warms the tenant's input/output slabs and compiles the plan
@@ -18,7 +18,7 @@
 //!    worker threads multiplexing N virtual clients; p50/p99 and
 //!    throughput are reported per arm.
 //!
-//! Usage: `bench_serve [--out FILE] [--steps N] [--secs S] [--check BASELINE]`
+//! Usage: `bench_serve [--out FILE] [--check BASELINE]`
 //!
 //! With `--check`, the process exits nonzero unless batched throughput
 //! is >= 3x serial, the steady-state batch loop acquired zero buffers,
@@ -38,6 +38,10 @@ use sagdfn_tensor::pool;
 use std::time::{Duration, Instant};
 
 const WARMUP_REPS: usize = 2;
+/// Timed rounds of the throughput race.
+const REPS: usize = 8;
+/// Seconds per closed-loop latency arm.
+const LATENCY_SECS: f64 = 1.0;
 /// Requests per throughput pass: divisible by both batch caps so every
 /// batched flush is full.
 const STREAM: usize = 192;
@@ -103,17 +107,15 @@ fn request(payloads: &[Payload], i: usize) -> (ForecastRequest, sagdfn_serve::Re
 }
 
 /// Pushes `STREAM` requests through the dispatcher under the given plan
-/// mode and drains it, returning wall-clock seconds. Collects every
-/// forecast's bit pattern when `bits` is provided (pass `None` for
-/// timed reps).
+/// mode and drains it. Collects every forecast's bit pattern when `bits`
+/// is provided (pass `None` for timed reps).
 fn one_pass(
     disp: &mut Dispatcher,
     payloads: &[Payload],
     plan: PlanMode,
     mut bits: Option<&mut Vec<u32>>,
-) -> f64 {
+) {
     set_plan_mode(plan);
-    let t0 = Instant::now();
     let mut handles = Vec::with_capacity(STREAM);
     for i in 0..STREAM {
         let (req, handle) = request(payloads, i);
@@ -121,14 +123,12 @@ fn one_pass(
         handles.push(handle);
     }
     disp.drain(STREAM as u64);
-    let seconds = t0.elapsed().as_secs_f64();
     for handle in handles {
         let forecast = handle.try_take().expect("drained").expect("forecast");
         if let Some(bits) = bits.as_deref_mut() {
             bits.extend(forecast.values.iter().map(|v| v.to_bits()));
         }
     }
-    seconds
 }
 
 /// Tensor-allocator acquires across `reps` full batches after warmup:
@@ -236,9 +236,7 @@ fn latency_arm(core: &ServerCore, payloads: &[Payload], clients: usize, secs: f6
 }
 
 fn main() {
-    let args = gate::Args::parse("BENCH_serve.json", 5);
-    let reps = args.steps;
-    let secs = args.secs;
+    let args = gate::Args::parse("BENCH_serve.json");
 
     // Counters on (allocator acquires) and the plan executor pinned on —
     // the serving default.
@@ -248,7 +246,7 @@ fn main() {
     let (tenant, payloads) = workload();
     let nodes = tenant.n();
     println!(
-        "serving benchmark: {} worker threads, {nodes} nodes, {STREAM} requests/pass, {reps} reps",
+        "serving benchmark: {} worker threads, {nodes} nodes, {STREAM} requests/pass, {REPS} reps",
         pool::num_threads()
     );
     let mut registry = Registry::new();
@@ -260,27 +258,18 @@ fn main() {
     let mut batched = Dispatcher::new(registry, BATCH_CAP, u64::MAX);
 
     // --- Arm 1: per-request interpreted vs pipelined throughput ----------
-    // Interleaved min-of-reps; serial = cap 1 + interpreted eval (the
-    // naive per-request server), batched = cap 32 + compiled plan.
-    for _ in 0..WARMUP_REPS {
-        one_pass(&mut serial, &payloads, PlanMode::Off, None);
-        one_pass(&mut batched, &payloads, PlanMode::On, None);
-    }
+    // Serial = cap 1 + interpreted eval (the naive per-request server),
+    // batched = cap 32 + compiled plan.
     let mut serial_bits = Vec::new();
     let mut batched_bits = Vec::new();
     one_pass(&mut serial, &payloads, PlanMode::Off, Some(&mut serial_bits));
     one_pass(&mut batched, &payloads, PlanMode::On, Some(&mut batched_bits));
     let bit_identical = serial_bits == batched_bits;
-    let (mut serial_best, mut batched_best) = (f64::INFINITY, f64::INFINITY);
-    for rep in 0..reps {
-        if rep % 2 == 0 {
-            serial_best = serial_best.min(one_pass(&mut serial, &payloads, PlanMode::Off, None));
-            batched_best = batched_best.min(one_pass(&mut batched, &payloads, PlanMode::On, None));
-        } else {
-            batched_best = batched_best.min(one_pass(&mut batched, &payloads, PlanMode::On, None));
-            serial_best = serial_best.min(one_pass(&mut serial, &payloads, PlanMode::Off, None));
-        }
-    }
+    let t = gate::race(WARMUP_REPS, REPS, &mut [
+        &mut || one_pass(&mut serial, &payloads, PlanMode::Off, None),
+        &mut || one_pass(&mut batched, &payloads, PlanMode::On, None),
+    ]);
+    let (serial_best, batched_best) = (t[0], t[1]);
     let serial_rps = STREAM as f64 / serial_best;
     let batched_rps = STREAM as f64 / batched_best;
     let batched_speedup = batched_rps / serial_rps;
@@ -316,7 +305,7 @@ fn main() {
     });
     let mut arms = Vec::new();
     for clients in [100usize, 1_000] {
-        let arm = latency_arm(&core, &payloads, clients, secs);
+        let arm = latency_arm(&core, &payloads, clients, LATENCY_SECS);
         println!(
             "  {:>5} clients: {:>9.0} req/s   p50 {:>7.2} ms   p99 {:>7.2} ms   ({} completed, {} shed)",
             arm.clients, arm.rps, arm.p50_ms, arm.p99_ms, arm.completed, arm.shed
@@ -331,7 +320,7 @@ fn main() {
 
     let doc = Json::obj([
         ("threads", Json::from(pool::num_threads())),
-        ("reps", Json::from(reps)),
+        ("reps", Json::from(REPS)),
         ("nodes", Json::from(nodes)),
         ("stream", Json::from(STREAM)),
         ("batch_cap", Json::from(BATCH_CAP)),

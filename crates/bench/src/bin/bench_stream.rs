@@ -14,11 +14,16 @@
 //!    bursts on cadence (the `stream_ft_steps` counter must advance by
 //!    exactly `bursts * ft_steps`) and its per-tick overhead is reported.
 //!
+//! The steady-state planned and interpreted engines race each other
+//! ([`gate::race`]) for the throughput numbers; the counters of contract
+//! 2 come from a separate planned-only pass, so the interpreted arm's
+//! acquires never reach them.
+//!
 //! The workload uses the **quantile head**, so the epilogue the plan
 //! compiles (monotone cumulative-relu stacking + per-channel affine) is
 //! the probabilistic one — the newest, least-trodden path.
 //!
-//! Usage: `bench_stream [--out FILE] [--steps N] [--check BASELINE]`
+//! Usage: `bench_stream [--out FILE] [--check BASELINE]`
 //!
 //! With `--check`, the process exits nonzero if steady-state ticks
 //! acquired buffers or rebuilt the plan, rebinds stopped tracking ticks,
@@ -31,10 +36,12 @@ use sagdfn_data::{Scale, SplitSpec, ThreeWaySplit};
 use sagdfn_json::Json;
 use sagdfn_obs as obs;
 use sagdfn_tensor::pool;
-use std::time::Instant;
 
 const WARMUP_TICKS: usize = 16;
 const TICKS_PER_REP: usize = 64;
+/// Timed rounds of the throughput race; the counted pass and the
+/// fine-tune arm each replay as many ticks as one arm's timed rounds.
+const REPS: usize = 5;
 
 /// One deterministic streaming workload: a small quantile-head model
 /// plus the raw tick rows to replay. Calling it twice builds
@@ -68,18 +75,15 @@ fn workload() -> (StreamEngine, Vec<Vec<f32>>) {
     (engine, ticks)
 }
 
-/// Replays `count` ticks starting at `from`, returning wall seconds.
-fn run_ticks(engine: &mut StreamEngine, ticks: &[Vec<f32>], from: usize, count: usize) -> f64 {
-    let t0 = Instant::now();
+/// Replays `count` ticks starting at `from`.
+fn run_ticks(engine: &mut StreamEngine, ticks: &[Vec<f32>], from: usize, count: usize) {
     for row in ticks.iter().cycle().skip(from).take(count) {
         engine.push(row);
     }
-    t0.elapsed().as_secs_f64()
 }
 
 fn main() {
-    let args = gate::Args::parse("BENCH_stream.json", 5);
-    let reps = args.steps;
+    let args = gate::Args::parse("BENCH_stream.json");
 
     obs::set_trace_mode(obs::TraceMode::Counters);
 
@@ -89,7 +93,7 @@ fn main() {
     drop(probe);
     println!(
         "streaming benchmark: {} worker threads, {nodes} nodes, h={h} f={f}, \
-         {TICKS_PER_REP} ticks/pass, {reps} reps",
+         {TICKS_PER_REP} ticks/pass, {REPS} reps",
         pool::num_threads()
     );
 
@@ -120,38 +124,39 @@ fn main() {
     set_plan_mode(PlanMode::On);
 
     // --- Arm 2: steady-state throughput + rebind-not-recompile ----------
-    let (mut engine, _) = workload();
-    run_ticks(&mut engine, &ticks, 0, WARMUP_TICKS);
-    let before = obs::snapshot();
-    let mut best = f64::INFINITY;
-    for rep in 0..reps {
-        best = best.min(run_ticks(&mut engine, &ticks, WARMUP_TICKS + rep * TICKS_PER_REP, TICKS_PER_REP));
-    }
-    let steady = obs::snapshot().since(&before);
-    let ticks_per_sec = TICKS_PER_REP as f64 / best;
-    let steady_ticks = reps as u64 * TICKS_PER_REP as u64;
-    println!("  steady-state (plan, scaler drifting) {ticks_per_sec:>9.0} ticks/s");
-    println!(
-        "  {} ticks: {} allocator acquires, {} plan builds, {} scaler rebinds",
-        steady_ticks, steady.alloc_acquires, steady.plan_builds, steady.plan_rebinds
-    );
-
-    // Interpreted-path reference for the same tick stream.
-    set_plan_mode(PlanMode::Off);
-    let (mut engine_off, _) = workload();
-    run_ticks(&mut engine_off, &ticks, 0, WARMUP_TICKS);
-    let mut best_off = f64::INFINITY;
-    for rep in 0..reps {
-        best_off = best_off
-            .min(run_ticks(&mut engine_off, &ticks, WARMUP_TICKS + rep * TICKS_PER_REP, TICKS_PER_REP));
-    }
-    let ticks_per_sec_off = TICKS_PER_REP as f64 / best_off;
+    // Each engine replays the tick stream from where its last pass ended.
+    let arm = |plan: PlanMode| {
+        let (mut engine, _) = workload();
+        let (mut from, ticks) = (0, &ticks);
+        move || {
+            set_plan_mode(plan);
+            run_ticks(&mut engine, ticks, from, TICKS_PER_REP);
+            from += TICKS_PER_REP;
+        }
+    };
+    let (mut on, mut off) = (arm(PlanMode::On), arm(PlanMode::Off));
+    let t = gate::race(1, REPS, &mut [&mut on, &mut off]);
+    let ticks_per_sec = TICKS_PER_REP as f64 / t[0];
+    let ticks_per_sec_off = TICKS_PER_REP as f64 / t[1];
     let plan_speedup = ticks_per_sec / ticks_per_sec_off;
+    println!("  steady-state (plan, scaler drifting) {ticks_per_sec:>9.0} ticks/s");
     println!(
         "  steady-state (interpreted)           {ticks_per_sec_off:>9.0} ticks/s   \
          (plan {plan_speedup:.2}x)"
     );
+
+    // The counted pass: planned only, after warmup.
     set_plan_mode(PlanMode::On);
+    let (mut engine, _) = workload();
+    run_ticks(&mut engine, &ticks, 0, WARMUP_TICKS);
+    let steady_ticks = REPS * TICKS_PER_REP;
+    let before = obs::snapshot();
+    run_ticks(&mut engine, &ticks, WARMUP_TICKS, steady_ticks);
+    let steady = obs::snapshot().since(&before);
+    println!(
+        "  {} ticks: {} allocator acquires, {} plan builds, {} scaler rebinds",
+        steady_ticks, steady.alloc_acquires, steady.plan_builds, steady.plan_rebinds
+    );
 
     // --- Arm 3: bounded continual fine-tuning ---------------------------
     let (ft_engine, _) = workload();
@@ -165,9 +170,9 @@ fn main() {
     let mut ft_engine = StreamEngine::new(model, scaler, cfg, 5, 0);
     run_ticks(&mut ft_engine, &ticks, 0, WARMUP_TICKS);
     let before_ft = obs::snapshot();
-    let ft_secs = run_ticks(&mut ft_engine, &ticks, WARMUP_TICKS, TICKS_PER_REP * reps);
+    let ft_ticks = steady_ticks as u64;
+    let ((), ft_secs) = gate::timed(|| run_ticks(&mut ft_engine, &ticks, WARMUP_TICKS, steady_ticks));
     let ft_delta = obs::snapshot().since(&before_ft);
-    let ft_ticks = (TICKS_PER_REP * reps) as u64;
     let expected_bursts = (WARMUP_TICKS as u64 + ft_ticks) / cfg.ft_every as u64
         - WARMUP_TICKS as u64 / cfg.ft_every as u64;
     let expected_ft_steps = expected_bursts * cfg.ft_steps as u64;
@@ -185,7 +190,7 @@ fn main() {
 
     let doc = Json::obj([
         ("threads", Json::from(pool::num_threads())),
-        ("reps", Json::from(reps)),
+        ("reps", Json::from(REPS)),
         ("nodes", Json::from(nodes)),
         ("h", Json::from(h)),
         ("f", Json::from(f)),

@@ -2,14 +2,13 @@
 //! their forced-serial paths — and the SIMD dispatch against the forced
 //! scalar kernels — then writes `BENCH_tensor.json`.
 //!
-//! The pooled / serial / scalar timings of one case are interleaved rep
-//! by rep so no arm pays the page-fault and cache-warmup cost of going
-//! first. (The old pooled-then-serial ordering charged that cost to the
-//! pooled arm, which read as a phantom pooled regression at `threads=1`
-//! where both arms run identical code.)
+//! The pooled and serial arms of one case race each other, then the
+//! serial SIMD and forced-scalar arms ([`gate::race`]), so no arm pays
+//! the page-fault and cache-warmup cost of going first. (The old pooled-then-serial ordering charged that
+//! cost to the pooled arm, which read as a phantom pooled regression at
+//! `threads=1` where both arms run identical code.)
 //!
-//! Usage: `bench_tensor [--out FILE] [--steps N] [--check BASELINE]`
-//! (`--steps` is the timing reps per arm; see `sagdfn_bench::gate`)
+//! Usage: `bench_tensor [--out FILE] [--check BASELINE]`
 //!
 //! With `--check`, two gates guard the SIMD win (exit nonzero on
 //! failure): `matmul_512`'s single-thread SIMD speedup must clear the
@@ -25,18 +24,13 @@ use sagdfn_json::Json;
 use sagdfn_obs as obs;
 use sagdfn_tensor::{dispatch, pool, set_simd_mode, simd_tier, Rng64, SimdMode, SimdTier, Tensor};
 use std::hint::black_box;
-use std::time::Instant;
+
+/// Timed rounds per case.
+const REPS: usize = 20;
 
 fn rand(shape: &[usize], seed: u64) -> Tensor {
     let mut rng = Rng64::new(seed);
     Tensor::rand_uniform(shape, -1.0, 1.0, &mut rng)
-}
-
-/// Wall-clock seconds of one invocation of `f`.
-fn time_once(f: &mut impl FnMut()) -> f64 {
-    let t0 = Instant::now();
-    f();
-    t0.elapsed().as_secs_f64()
 }
 
 /// Runs `f` once with the scalar kernels forced, restoring the previous
@@ -58,7 +52,7 @@ struct Case {
 }
 
 impl Case {
-    fn measure(name: &'static str, reps: usize, mut f: impl FnMut()) -> Case {
+    fn measure(name: &'static str, f: impl Fn()) -> Case {
         // One counted run gives the flops column (and faults in the
         // output pages before anything is timed).
         let prev_trace = obs::set_trace_mode(obs::TraceMode::Counters);
@@ -72,48 +66,21 @@ impl Case {
             .sum();
         obs::set_trace_mode(prev_trace);
 
-        // Pooled vs serial: one warm run each, then interleaved timed
-        // reps. Interleaving keeps the cache/allocator state each arm
-        // sees symmetric — at threads=1 the two arms run identical code,
-        // so any systematic gap here would be a measurement artifact.
-        pool::run_serial(&mut f);
-        f();
-        let (mut pooled_s, mut serial_s) = (f64::INFINITY, f64::INFINITY);
-        for r in 0..reps {
-            // Alternate which arm goes first: timings drift downward for
-            // several reps (page faults, frequency ramp), and a fixed
-            // order would hand the later arm the lower points.
-            if r % 2 == 0 {
-                pooled_s = pooled_s.min(time_once(&mut f));
-                serial_s = serial_s.min(pool::run_serial(|| time_once(&mut f)));
-            } else {
-                serial_s = serial_s.min(pool::run_serial(|| time_once(&mut f)));
-                pooled_s = pooled_s.min(time_once(&mut f));
-            }
-        }
-        // SIMD vs scalar, both single-thread, interleaved for the same
-        // reason: the speedup ratio must compare the two kernel sets
-        // under the same machine load, not across drifting time windows.
-        with_scalar(|| pool::run_serial(&mut f));
-        let (mut simd_serial_s, mut scalar_serial_s) = (f64::INFINITY, f64::INFINITY);
-        for r in 0..reps {
-            if r % 2 == 0 {
-                simd_serial_s = simd_serial_s.min(pool::run_serial(|| time_once(&mut f)));
-                scalar_serial_s =
-                    scalar_serial_s.min(with_scalar(|| pool::run_serial(|| time_once(&mut f))));
-            } else {
-                scalar_serial_s =
-                    scalar_serial_s.min(with_scalar(|| pool::run_serial(|| time_once(&mut f))));
-                simd_serial_s = simd_serial_s.min(pool::run_serial(|| time_once(&mut f)));
-            }
-        }
-        let serial_s = serial_s.min(simd_serial_s);
+        // Two pairs, each racing alone (see `gate::race`): pooled vs
+        // serial — at threads=1 identical code, so a systematic gap would
+        // be a measurement artifact — and serial SIMD vs serial scalar
+        // kernels, timed under the same machine load.
+        let pool_race = gate::race(1, REPS, &mut [&mut || f(), &mut || pool::run_serial(&f)]);
+        let simd_race = gate::race(1, REPS, &mut [
+            &mut || pool::run_serial(&f),
+            &mut || with_scalar(|| pool::run_serial(&f)),
+        ]);
         Case {
             name,
-            pooled_s,
-            serial_s,
-            simd_serial_s,
-            scalar_serial_s,
+            pooled_s: pool_race[0],
+            serial_s: pool_race[1],
+            simd_serial_s: simd_race[0],
+            scalar_serial_s: simd_race[1],
             flops,
         }
     }
@@ -123,14 +90,14 @@ impl Case {
     }
 
     /// Single-thread scalar-kernels / SIMD-kernels time ratio, from the
-    /// interleaved phase that times both under the same machine load.
+    /// race that times both.
     fn simd_speedup(&self) -> f64 {
         self.scalar_serial_s / self.simd_serial_s
     }
 
     /// Counted flops over the best single-thread SIMD time.
     fn gflops(&self) -> f64 {
-        self.flops as f64 / self.serial_s / 1e9
+        self.flops as f64 / self.serial_s.min(self.simd_serial_s) / 1e9
     }
 
     fn to_json(&self) -> Json {
@@ -148,13 +115,11 @@ impl Case {
 }
 
 fn main() {
-    let args = gate::Args::parse("BENCH_tensor.json", 7);
-    let reps = args.steps;
+    let args = gate::Args::parse("BENCH_tensor.json");
 
     println!(
-        "tensor perf baseline: {} worker threads, {} reps (min kept)",
-        pool::num_threads(),
-        reps
+        "tensor perf baseline: {} worker threads, {REPS} reps (min kept)",
+        pool::num_threads()
     );
     println!("{}", dispatch::description());
 
@@ -170,31 +135,31 @@ fn main() {
     };
 
     let cases = vec![
-        Case::measure("matmul_512", reps, || {
+        Case::measure("matmul_512", || {
             black_box(m512.0.matmul(&m512.1));
         }),
-        Case::measure("matmul_512_nt", reps, || {
+        Case::measure("matmul_512_nt", || {
             black_box(m512.0.matmul_nt(&m512.1));
         }),
-        Case::measure("matmul_256", reps, || {
+        Case::measure("matmul_256", || {
             black_box(m256.0.matmul(&m256.1));
         }),
-        Case::measure("batched_matmul_16x64", reps, || {
+        Case::measure("batched_matmul_16x64", || {
             black_box(batched.0.matmul(&batched.1));
         }),
-        Case::measure("elementwise_add_4096x2048", reps, || {
+        Case::measure("elementwise_add_4096x2048", || {
             black_box(wide.0.add(&wide.1));
         }),
-        Case::measure("sigmoid_4096x2048", reps, || {
+        Case::measure("sigmoid_4096x2048", || {
             black_box(wide.0.sigmoid());
         }),
-        Case::measure("sum_4M", reps, || {
+        Case::measure("sum_4M", || {
             black_box(reduce_in.sum());
         }),
-        Case::measure("transpose_1024", reps, || {
+        Case::measure("transpose_1024", || {
             black_box(trans_in.transpose_last2());
         }),
-        Case::measure("entmax_rows_2000x100", reps, || {
+        Case::measure("entmax_rows_2000x100", || {
             black_box(entmax_rows(&entmax_in, 100, 1.5));
         }),
     ];
@@ -224,7 +189,7 @@ fn main() {
 
     let doc = Json::obj([
         ("threads", Json::from(pool::num_threads())),
-        ("reps", Json::from(reps)),
+        ("reps", Json::from(REPS)),
         ("simd_tier", Json::from(simd_tier().name())),
         (
             "cases",

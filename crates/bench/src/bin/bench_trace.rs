@@ -10,10 +10,12 @@
 //!     (atomics only, no clocks on the per-element paths). Enforced only
 //!     under `--check`, which is how `scripts/check.sh` runs it.
 //!
-//! Timing alternates off/counters/full blocks and takes the minimum block
-//! time per mode, so slow drift (thermal, scheduler) hits all modes alike.
+//! Timing races blocks of [`STEPS`] steps of one long-lived model
+//! ([`gate::race`]): counters against off, then full against off, each
+//! keeping the minimum block time per mode, so slow drift (thermal,
+//! scheduler) hits both modes of a pair alike.
 //!
-//! Usage: `bench_trace [--out FILE] [--steps N] [--check BASELINE]`
+//! Usage: `bench_trace [--out FILE] [--check BASELINE]`
 
 use sagdfn_autodiff::Tape;
 use sagdfn_bench::gate::{self, Gate};
@@ -23,10 +25,12 @@ use sagdfn_json::Json;
 use sagdfn_nn::{Adam, masked_mae, Mode, Optimizer};
 use sagdfn_obs as obs;
 use sagdfn_tensor::pool;
-use std::time::Instant;
+use std::cell::RefCell;
 
-const WARMUP_STEPS: usize = 8;
-const TIMING_REPS: usize = 5;
+/// Training steps per timed block.
+const STEPS: usize = 12;
+/// Timed rounds of blocks.
+const REPS: usize = 10;
 
 /// Builds the steady-state workload (model + repeated fixed batch) and
 /// returns a closure running one training step. Same recipe as
@@ -83,19 +87,17 @@ fn run_determinism(mode: obs::TraceMode, steps: usize) -> Vec<u32> {
 }
 
 fn main() {
-    let args = gate::Args::parse("BENCH_trace.json", 12);
-    let steps = args.steps;
+    let args = gate::Args::parse("BENCH_trace.json");
 
     println!(
-        "trace overhead benchmark: {} worker threads, {steps} steps/block, {TIMING_REPS} reps",
+        "trace overhead benchmark: {} worker threads, {STEPS} steps/block, {REPS} reps",
         pool::num_threads()
     );
 
     // Phase 1: non-perturbation. Fresh model per mode, identical sequence.
-    let det_steps = steps.clamp(2, 6);
-    let bits_off = run_determinism(obs::TraceMode::Off, det_steps);
-    let bits_counters = run_determinism(obs::TraceMode::Counters, det_steps);
-    let bits_full = run_determinism(obs::TraceMode::Full, det_steps);
+    let bits_off = run_determinism(obs::TraceMode::Off, 6);
+    let bits_counters = run_determinism(obs::TraceMode::Counters, 6);
+    let bits_full = run_determinism(obs::TraceMode::Full, 6);
     let identical = bits_off == bits_counters && bits_off == bits_full;
     println!("  params bit-identical across off/counters/full: {identical}");
     assert!(
@@ -103,36 +105,31 @@ fn main() {
         "tracing perturbed training results — non-perturbation contract violated"
     );
 
-    // Phase 2: timing. One long-lived model; alternate mode blocks and
-    // keep the minimum block time per mode.
-    let (mut model, mut step) = make_workload();
-    for _ in 0..WARMUP_STEPS {
-        step(&mut model);
-    }
-    let modes = [
-        obs::TraceMode::Off,
-        obs::TraceMode::Counters,
-        obs::TraceMode::Full,
-    ];
-    let mut best = [f64::INFINITY; 3];
-    for _ in 0..TIMING_REPS {
-        for (i, &mode) in modes.iter().enumerate() {
+    // Phase 2: timing. One long-lived model shared by the three arms.
+    let work = RefCell::new(make_workload());
+    let arm = |mode: obs::TraceMode| {
+        let work = &work;
+        move || {
+            let (model, step) = &mut *work.borrow_mut();
             let prev = obs::set_trace_mode(mode);
-            let t0 = Instant::now();
-            for _ in 0..steps {
-                step(&mut model);
+            for _ in 0..STEPS {
+                step(model);
             }
-            let sec = t0.elapsed().as_secs_f64() / steps as f64;
             obs::set_trace_mode(prev);
             obs::drain_spans();
-            if sec < best[i] {
-                best[i] = sec;
-            }
         }
-    }
-    let (off, counters, full) = (best[0], best[1], best[2]);
-    let counters_overhead = counters / off - 1.0;
-    let full_overhead = full / off - 1.0;
+    };
+    let (mut off, mut counters, mut full) = (
+        arm(obs::TraceMode::Off),
+        arm(obs::TraceMode::Counters),
+        arm(obs::TraceMode::Full),
+    );
+    // Counters and full each race off alone (see `gate::race`).
+    let t = gate::race(1, REPS, &mut [&mut off, &mut counters]);
+    let u = gate::race(1, REPS, &mut [&mut off, &mut full]);
+    let [off, counters, full] = [t[0], t[1], u[1]].map(|sec| sec / STEPS as f64);
+    let counters_overhead = t[1] / t[0] - 1.0;
+    let full_overhead = u[1] / u[0] - 1.0;
     println!("  off       {:>9.3} ms/step", off * 1e3);
     println!(
         "  counters  {:>9.3} ms/step   overhead {:>+7.2}%",
@@ -147,7 +144,7 @@ fn main() {
 
     let doc = Json::obj([
         ("threads", Json::from(pool::num_threads())),
-        ("steps", Json::from(steps)),
+        ("steps", Json::from(STEPS)),
         (
             "off",
             Json::obj([("seconds_per_step", Json::from(off))]),

@@ -7,7 +7,7 @@
 //! the final parameter bits are compared — the pool must not change a
 //! single ulp (`params_bit_identical` in the output).
 //!
-//! Usage: `bench_train_step [--out FILE] [--steps N] [--check BASELINE]`
+//! Usage: `bench_train_step [--out FILE] [--check BASELINE]`
 //!
 //! With `--check`, the freshly measured recycled bytes/step is compared
 //! against the `recycled.bytes_per_step` recorded in BASELINE (25% slack);
@@ -24,6 +24,8 @@ use sagdfn_tensor::{alloc, pool, Rng64};
 use std::time::Instant;
 
 const WARMUP_STEPS: usize = 8;
+/// Measured steps per mode.
+const STEPS: usize = 24;
 
 struct ModeStats {
     seconds_per_step: f64,
@@ -32,10 +34,10 @@ struct ModeStats {
     param_bits: Vec<u32>,
 }
 
-/// Runs `steps` measured training steps (after warmup) from a fixed seed
+/// Runs [`STEPS`] measured training steps (after warmup) from a fixed seed
 /// with recycling forced on or off, and returns per-step stats plus the
 /// final parameter bits for the determinism cross-check.
-fn run_mode(recycle: bool, steps: usize) -> ModeStats {
+fn run_mode(recycle: bool) -> ModeStats {
     let prev = alloc::set_recycling(recycle);
     alloc::trim_pool();
 
@@ -82,7 +84,7 @@ fn run_mode(recycle: bool, steps: usize) -> ModeStats {
     alloc::reset_peak();
     let churn0 = alloc::churn_bytes();
     let t0 = Instant::now();
-    for _ in 0..steps {
+    for _ in 0..STEPS {
         step(&mut model);
     }
     let seconds = t0.elapsed().as_secs_f64();
@@ -98,8 +100,8 @@ fn run_mode(recycle: bool, steps: usize) -> ModeStats {
     alloc::set_recycling(prev);
     alloc::trim_pool();
     ModeStats {
-        seconds_per_step: seconds / steps as f64,
-        bytes_per_step: churn as f64 / steps as f64,
+        seconds_per_step: seconds / STEPS as f64,
+        bytes_per_step: churn as f64 / STEPS as f64,
         peak_bytes: peak,
         param_bits,
     }
@@ -114,18 +116,17 @@ fn mode_json(s: &ModeStats) -> Json {
 }
 
 fn main() {
-    let args = gate::Args::parse("BENCH_train.json", 24);
-    let steps = args.steps;
+    let args = gate::Args::parse("BENCH_train.json");
 
     println!(
-        "train-step allocation benchmark: {} worker threads, {steps} measured steps",
+        "train-step allocation benchmark: {} worker threads, {STEPS} measured steps",
         pool::num_threads()
     );
 
     // "Before": every tensor buffer comes from the heap allocator.
-    let fresh = run_mode(false, steps);
+    let fresh = run_mode(false);
     // "After": steady-state buffers come from the recycling free list.
-    let recycled = run_mode(true, steps);
+    let recycled = run_mode(true);
 
     let identical = fresh.param_bits == recycled.param_bits;
     let churn_ratio = if fresh.bytes_per_step > 0.0 {
@@ -157,7 +158,7 @@ fn main() {
 
     let doc = Json::obj([
         ("threads", Json::from(pool::num_threads())),
-        ("steps", Json::from(steps)),
+        ("steps", Json::from(STEPS)),
         ("fresh", mode_json(&fresh)),
         ("recycled", mode_json(&recycled)),
         ("churn_ratio", Json::from(churn_ratio)),

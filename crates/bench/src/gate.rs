@@ -8,11 +8,14 @@
 //! per gate and exits 1 if any failed — listing all of them, not just
 //! the first.
 //!
-//! Flags: `--out FILE` (output document), `--steps N` (measured
-//! steps/reps), `--secs S` (per-arm duration, read only by
-//! `bench_serve`) and `--check BASELINE` (committed document to gate
-//! against; read at parse time so a missing baseline fails before any
-//! measuring starts). Unknown flags panic.
+//! Flags: `--out FILE` (output document) and `--check BASELINE`
+//! (committed document to gate against; read at parse time so a missing
+//! baseline fails before any measuring starts). Unknown flags panic.
+//! Run sizes are constants of each binary, so a check runs exactly the
+//! measurement its baseline was recorded with.
+//!
+//! Every timing a gate reads comes from [`race`]: the arms it compares
+//! run interleaved, round by round, and each keeps its fastest round.
 //!
 //! Baseline fields are read by dotted path: `recycled.bytes_per_step`;
 //! a `key=value` segment selects the element of an array whose `key`
@@ -25,29 +28,18 @@ use std::time::Instant;
 pub struct Args {
     /// Where the output document is written.
     pub out: String,
-    /// Measured steps (or timing reps) per arm.
-    pub steps: usize,
-    /// Seconds per closed-loop arm (`bench_serve` only).
-    pub secs: f64,
     check: Option<Baseline>,
 }
 
 impl Args {
-    /// Parses `std::env::args()` with the binary's default output file
-    /// and step count.
-    pub fn parse(default_out: &str, default_steps: usize) -> Args {
-        Args::parse_from(std::env::args().skip(1), default_out, default_steps)
+    /// Parses `std::env::args()` with the binary's default output file.
+    pub fn parse(default_out: &str) -> Args {
+        Args::parse_from(std::env::args().skip(1), default_out)
     }
 
-    fn parse_from(
-        args: impl IntoIterator<Item = String>,
-        default_out: &str,
-        default_steps: usize,
-    ) -> Args {
+    fn parse_from(args: impl IntoIterator<Item = String>, default_out: &str) -> Args {
         let mut out = Args {
             out: default_out.to_string(),
-            steps: default_steps,
-            secs: 1.0,
             check: None,
         };
         let mut it = args.into_iter();
@@ -55,12 +47,8 @@ impl Args {
             let mut value = || it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
             match flag.as_str() {
                 "--out" => out.out = value(),
-                "--steps" => out.steps = value().parse().expect("--steps wants an integer"),
-                "--secs" => out.secs = value().parse().expect("--secs wants a number"),
                 "--check" => out.check = Some(Baseline::read(&value())),
-                other => {
-                    panic!("unknown flag '{other}' (expected --out / --steps / --secs / --check)")
-                }
+                other => panic!("unknown flag '{other}' (expected --out / --check)"),
             }
         }
         out
@@ -208,25 +196,39 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
     (r, t0.elapsed().as_secs_f64())
 }
 
-/// Min-of-reps wall timing: `warmup` untimed calls, then the fastest of
-/// `reps` timed calls — the least noisy estimate on a shared machine
-/// (drift and interrupts only ever add time). In `full` trace mode each
-/// timed rep is also recorded as a `name` span.
-pub fn time_min<R>(
-    name: &'static str,
+/// Races `arms` against each other and returns each arm's fastest
+/// wall time in seconds. `warmup` untimed rounds come first, then `reps`
+/// timed ones; every round runs each arm once, in order on even rounds
+/// and reversed on odd ones. A change in host speed thus hits every arm
+/// alike, no arm always inherits the caches and clocks the one before it
+/// left, and the minimum drops the rounds a stall or interrupt slowed.
+/// With three or more arms the middle ones never follow themselves while
+/// the end ones do every other round, so a gated comparison races its
+/// two arms alone.
+pub fn race(warmup: usize, reps: usize, arms: &mut [&mut dyn FnMut()]) -> Vec<f64> {
+    let t0 = Instant::now();
+    race_by(|| t0.elapsed().as_secs_f64(), warmup, reps, arms)
+}
+
+/// [`race`] reading seconds from `now`.
+fn race_by(
+    mut now: impl FnMut() -> f64,
     warmup: usize,
     reps: usize,
-    mut f: impl FnMut() -> R,
-) -> f64 {
-    for _ in 0..warmup {
-        std::hint::black_box(f());
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let _s = sagdfn_obs::span(name);
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64());
+    arms: &mut [&mut dyn FnMut()],
+) -> Vec<f64> {
+    assert!(reps > 0, "a race needs at least one timed round");
+    let mut best = vec![f64::INFINITY; arms.len()];
+    for round in 0..warmup + reps {
+        for i in 0..arms.len() {
+            let k = if round % 2 == 0 { i } else { arms.len() - 1 - i };
+            let start = now();
+            arms[k]();
+            let sec = now() - start;
+            if round >= warmup {
+                best[k] = best[k].min(sec);
+            }
+        }
     }
     best
 }
@@ -236,7 +238,7 @@ mod tests {
     use super::*;
 
     fn parse(s: &[&str]) -> Args {
-        Args::parse_from(s.iter().map(|s| s.to_string()), "BENCH_x.json", 7)
+        Args::parse_from(s.iter().map(|s| s.to_string()), "BENCH_x.json")
     }
 
     fn baseline() -> Baseline {
@@ -308,12 +310,65 @@ mod tests {
     }
 
     #[test]
-    fn flags_override_the_defaults() {
-        let a = parse(&[]);
-        assert_eq!((a.out.as_str(), a.steps, a.secs), ("BENCH_x.json", 7, 1.0));
-        let a = parse(&["--out", "o.json", "--steps", "3", "--secs", "0.5"]);
-        assert_eq!((a.out.as_str(), a.steps, a.secs), ("o.json", 3, 0.5));
+    fn out_overrides_the_default() {
+        assert_eq!(parse(&[]).out, "BENCH_x.json");
+        let a = parse(&["--out", "o.json"]);
+        assert_eq!(a.out, "o.json");
         assert!(a.check.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flag '--steps'")]
+    fn steps_is_an_unknown_flag() {
+        parse(&["--steps", "3"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flag '--secs'")]
+    fn secs_is_an_unknown_flag() {
+        parse(&["--secs", "0.5"]);
+    }
+
+    /// Three arms on a fake clock: arm `k`'s `c`-th call takes
+    /// `(k + 1) * [5, 3, 4, 1, 2, 6][c]` seconds. Returns the race result
+    /// and the order the arms ran in.
+    fn fake_race(warmup: usize, reps: usize) -> (Vec<f64>, Vec<usize>) {
+        use std::cell::{Cell, RefCell};
+        let clock = Cell::new(0.0);
+        let log = RefCell::new(Vec::new());
+        let calls = [Cell::new(0), Cell::new(0), Cell::new(0)];
+        let arm = |k: usize| {
+            let c = calls[k].replace(calls[k].get() + 1);
+            clock.set(clock.get() + (k + 1) as f64 * [5.0, 3.0, 4.0, 1.0, 2.0, 6.0][c]);
+            log.borrow_mut().push(k);
+        };
+        let (mut a0, mut a1, mut a2) = (|| arm(0), || arm(1), || arm(2));
+        let best = race_by(|| clock.get(), warmup, reps, &mut [&mut a0, &mut a1, &mut a2]);
+        (best, log.into_inner())
+    }
+
+    #[test]
+    fn each_arm_runs_warmup_plus_reps_times() {
+        let (best, log) = fake_race(2, 3);
+        assert_eq!(best.len(), 3);
+        for k in 0..3 {
+            assert_eq!(log.iter().filter(|&&a| a == k).count(), 5);
+        }
+    }
+
+    #[test]
+    fn the_order_reverses_on_odd_rounds() {
+        let (_, log) = fake_race(1, 3);
+        assert_eq!(log, [0, 1, 2, 2, 1, 0, 0, 1, 2, 2, 1, 0]);
+    }
+
+    #[test]
+    fn each_arm_keeps_its_fastest_timed_round() {
+        // Timed calls are 3, 4, 1 (the 5 is warm-up); the minimum is the
+        // third call's 1 s, scaled per arm.
+        assert_eq!(fake_race(1, 3).0, [1.0, 2.0, 3.0]);
+        // With all warm-up but one round, only the sixth call counts.
+        assert_eq!(fake_race(5, 1).0, [6.0, 12.0, 18.0]);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! # sagdfn-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper
-//! (`src/bin/table*.rs`, `src/bin/fig*.rs`) plus Criterion micro-benches
-//! (`benches/`). Binaries print paper-style rows to stdout and write CSV
-//! under `results/`.
+//! (`src/bin/table*.rs`, `src/bin/fig*.rs`). Binaries print paper-style
+//! rows to stdout and write CSV under `results/`.
 //!
 //! Common flags for every binary:
 //!

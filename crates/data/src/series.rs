@@ -40,10 +40,14 @@ impl Clock {
     /// `(time of day, day of week)` of step `step`, each in `[0, 1)`
     /// (Monday = 0).
     pub fn covariates(&self, step: u64) -> (f32, f32) {
+        let (day, minute) = self.day_and_minute(step);
+        (minute as f32 / MIN_PER_DAY as f32, day as f32 / 7.0)
+    }
+
+    /// `(day of week, minute of day)` of step `step` (Monday = 0).
+    pub fn day_and_minute(&self, step: u64) -> (u32, u32) {
         let minute = u64::from(self.minute_of_week(step));
-        let tod = (minute % MIN_PER_DAY) as f32 / MIN_PER_DAY as f32;
-        let dow = (minute / MIN_PER_DAY) as f32 / 7.0;
-        (tod, dow)
+        ((minute / MIN_PER_DAY) as u32, (minute % MIN_PER_DAY) as u32)
     }
 }
 

@@ -15,7 +15,7 @@
 //! the sharp bounded dynamics that make CARPARK1918 the hardest dataset in
 //! the paper (largest MAE scale in Table V).
 
-use crate::series::ForecastDataset;
+use crate::series::{Clock, ForecastDataset};
 use sagdfn_graph::{knn_geometric, GeoGraph};
 use sagdfn_tensor::{Rng64, Tensor};
 
@@ -140,9 +140,10 @@ impl CarparkConfig {
 
         let mut noise = vec![0.0f32; n];
         let mut values = vec![0.0f32; self.steps * n];
+        // Step 0 is Monday 00:00, as in the dataset built below.
+        let clock = Clock::new(self.interval_min, 0);
         for t in 0..self.steps {
-            let minute = (t as u32 * self.interval_min) % (24 * 60);
-            let day = ((t as u32 * self.interval_min) / (24 * 60)) % 7;
+            let (day, minute) = clock.day_and_minute(t as u64);
             let weekend = day >= 5;
             let hour = minute as f32 / 60.0;
             for i in 0..n {

@@ -15,7 +15,7 @@
 //! *seasonality + graph-local correlation*, which is what separates the
 //! spatial models from the temporal-only ones.
 
-use crate::series::ForecastDataset;
+use crate::series::{Clock, ForecastDataset};
 use sagdfn_graph::{knn_geometric, GeoGraph};
 use sagdfn_tensor::{Rng64, Tensor};
 
@@ -92,10 +92,11 @@ impl EnergyConfig {
         let mut weather = 0.0f32;
         let steps_per_day = (24 * 60 / self.interval_min) as usize;
         let mut values = vec![0.0f32; self.steps * n];
+        // Step 0 is Monday 00:00, as in the dataset built below.
+        let clock = Clock::new(self.interval_min, 0);
         for t in 0..self.steps {
             weather = 0.995 * weather + 0.03 * rng.next_gaussian();
-            let minute = (t as u32 * self.interval_min) % (24 * 60);
-            let day = ((t as u32 * self.interval_min) / (24 * 60)) % 7;
+            let (day, minute) = clock.day_and_minute(t as u64);
             let weekend = day >= 5;
             let hour = minute as f32 / 60.0;
             // Double-peak demand profile: 8:00 and 19:00.

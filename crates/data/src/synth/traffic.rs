@@ -19,7 +19,7 @@
 //! A small fraction of readings is zeroed to model missing data, matching
 //! the METR-LA convention that metrics mask zeros.
 
-use crate::series::ForecastDataset;
+use crate::series::{Clock, ForecastDataset};
 use sagdfn_graph::{knn_geometric, GeoGraph};
 use sagdfn_tensor::{Rng64, Tensor};
 
@@ -112,9 +112,10 @@ impl TrafficConfig {
 
         let mut values = vec![0.0f32; t_steps * n];
         let mut tmp = vec![0.0f32; n];
+        // Step 0 is Monday 00:00, as in the dataset built below.
+        let clock = Clock::new(self.interval_min, 0);
         for t in 0..t_steps {
-            let minute = (t as u32 * self.interval_min) % (24 * 60);
-            let day = ((t as u32 * self.interval_min) / (24 * 60)) % 7;
+            let (day, minute) = clock.day_and_minute(t as u64);
             let weekend = day >= 5;
             let hour = minute as f32 / 60.0;
             // Two Gaussian congestion bumps (8:00, 18:00).

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Re-records the eight committed regression baselines (BENCH_*.json at
 # the repo root) that scripts/check.sh gates against, one per bench_*
-# binary, then runs the criterion pool benches for the detailed
-# per-size picture.
+# binary. Each binary's run size is a constant in its source and both
+# scripts pin one worker thread, so a baseline is recorded with exactly
+# the measurement check.sh gates.
 #
 # Usage: scripts/bench_baseline.sh
 set -euo pipefail
@@ -17,9 +18,5 @@ for row in tensor:bench_tensor train:bench_train_step diffusion:bench_diffusion 
     name="${row%%:*}" bin="${row#*:}"
     echo
     echo "== $bin -> BENCH_$name.json =="
-    cargo run --release -q -p sagdfn-bench --bin "$bin" -- --out "BENCH_$name.json"
+    SAGDFN_THREADS=1 cargo run --release -q -p sagdfn-bench --bin "$bin" -- --out "BENCH_$name.json"
 done
-
-echo
-echo "== criterion pool benches =="
-cargo bench -p sagdfn-bench --bench pool_bench

@@ -75,26 +75,29 @@ echo "== regression gates: each bench_* --check against its committed BENCH_*.js
 # Every baseline is committed, so a missing one fails here instead of
 # degrading to a smoke run. Each binary lists all of its gates (value,
 # limit, pass/FAIL) and exits 1 if any failed; the gates themselves live
-# in the binaries (crates/bench/src/bin/bench_*.rs).
-#   binary            baseline   run-size flags
+# in the binaries (crates/bench/src/bin/bench_*.rs), and each binary runs
+# at the fixed size its baseline was recorded with — on one worker thread,
+# as every baseline records: on a shared host a parallel arm's time
+# depends on whether another core is free at that moment, which racing
+# the arms cannot cancel.
+#   binary            baseline
 GATES=(
-    "bench_tensor      tensor     --steps 7"
-    "bench_train_step  train      --steps 6"
-    "bench_diffusion   diffusion  --steps 6"
-    "bench_scale       scale      --steps 2"
-    "bench_trace       trace      --steps 6"
-    "bench_infer       infer      --steps 6"
-    "bench_serve       serve      --steps 5 --secs 0.5"
-    "bench_stream      stream     --steps 3"
+    "bench_tensor      tensor"
+    "bench_train_step  train"
+    "bench_diffusion   diffusion"
+    "bench_scale       scale"
+    "bench_trace       trace"
+    "bench_infer       infer"
+    "bench_serve       serve"
+    "bench_stream      stream"
 )
 GATE_OUT="$(mktemp -d)"
 trap 'rm -rf "$GATE_OUT"' EXIT
 for row in "${GATES[@]}"; do
-    read -r bin name flags <<< "$row"
+    read -r bin name <<< "$row"
     echo
     echo "-- $bin --check BENCH_$name.json"
-    # shellcheck disable=SC2086  # $flags is a word list
-    cargo run --release -q -p sagdfn-bench --bin "$bin" -- $flags \
+    SAGDFN_THREADS=1 cargo run --release -q -p sagdfn-bench --bin "$bin" -- \
         --out "$GATE_OUT/$name.json" --check "BENCH_$name.json"
 done
 
