@@ -25,12 +25,14 @@
 //!
 //! Usage: `bench_infer [--out FILE] [--check BASELINE]`
 //!
-//! With `--check`, the process exits nonzero unless the no-grad tape is
-//! at least as fast as the taped eval, the frozen-plan eval is >= 1.3x
-//! taped, the planned executor is >= 2.5x taped, the plan cache recorded
-//! at least one hit, and the steady-state planned pass acquired zero
-//! buffers — `scripts/check.sh` uses this as the inference-path
-//! regression guard.
+//! With `--check`, the process exits nonzero unless the no-grad arms
+//! recorded zero tape nodes, the frozen-plan eval is >= 1.3x taped, the
+//! planned executor is >= 2.5x taped, the plan cache recorded at least
+//! one hit, and the steady-state planned pass acquired zero buffers —
+//! `scripts/check.sh` uses this as the inference-path regression guard.
+//! What the no-grad tape saves is exact, not timed: its speedup over the
+//! taped arm sits near 1.0 at this size, so the ratio is reported
+//! ungated and the gate reads the obs tape-node counter instead.
 
 use sagdfn_autodiff::Tape;
 use sagdfn_bench::gate::{self, Gate};
@@ -158,6 +160,16 @@ fn planned_steady_state_acquires(model: &Sagdfn, split: &ThreeWaySplit) -> u64 {
     delta.alloc_acquires
 }
 
+/// Tape nodes recorded over one pass of each no-grad arm. A no-grad
+/// tape keeps forward values in its eval arena and must record none.
+fn nograd_tape_nodes(model: &Sagdfn, split: &ThreeWaySplit, batches: &[Vec<usize>]) -> u64 {
+    let before = obs::snapshot();
+    for kind in [RunKind::NoGradRebuilt, RunKind::NoGradFrozen, RunKind::Planned] {
+        one_pass(model, split, batches, kind, None);
+    }
+    obs::snapshot().since(&before).stats(obs::Kernel::Forward).calls
+}
+
 fn main() {
     let args = gate::Args::parse("BENCH_infer.json");
 
@@ -213,6 +225,7 @@ fn main() {
     );
     let [taped_bits, rebuilt_bits, frozen_bits, planned_bits] = all_bits;
     let planned_acquires = planned_steady_state_acquires(&model, &split);
+    let tape_nodes = nograd_tape_nodes(&model, &split, &batches);
 
     let bit_identical =
         taped_bits == rebuilt_bits && taped_bits == frozen_bits && taped_bits == planned_bits;
@@ -234,6 +247,7 @@ fn main() {
         counters.plan_builds, counters.plan_hits, counters.plan_compiles, counters.plan_execs
     );
     println!("  steady-state planned pass: {planned_acquires} allocator acquires");
+    println!("  no-grad passes: {tape_nodes} tape nodes recorded");
     if let Some(table) = model.plan_table() {
         println!("\n{table}");
     }
@@ -266,12 +280,13 @@ fn main() {
         ("plan_compiles", Json::from(counters.plan_compiles)),
         ("plan_execs", Json::from(counters.plan_execs)),
         ("planned_acquires", Json::from(planned_acquires)),
+        ("nograd_tape_nodes", Json::from(tape_nodes)),
         ("bit_identical", Json::from(bit_identical)),
     ]);
     args.finish(doc, |_| {
         vec![
             Gate::at_least("frozen-plan speedup vs taped", speedup_frozen, 1.3),
-            Gate::at_least("no-grad speedup vs taped", speedup_nograd, 1.0),
+            Gate::at_most("tape nodes recorded under no_grad", tape_nodes as f64, 0.0),
             Gate::at_least("planned speedup vs taped", speedup_planned, 2.5),
             Gate::at_least("plan cache hits", counters.plan_hits as f64, 1.0),
             // Arena slots must be pre-resolved.

@@ -9,10 +9,11 @@
 //!    race each other ([`gate::race`]) and their responses are
 //!    compared bitwise — the serving oracle's
 //!    plan-mode × batching contract, measured on the real dispatcher.
-//! 2. **Zero steady-state acquires.** After the first batch of each
-//!    size warms the tenant's input/output slabs and compiles the plan
-//!    schedule, further batches must acquire nothing from the tensor
-//!    allocator — refills happen in place.
+//! 2. **Zero steady-state acquires.** After the first full batch warms
+//!    the tenant's input/output slab and compiles the plan schedule,
+//!    further batches of every size up to the cap must acquire nothing
+//!    from the tensor allocator — one slab and one schedule serve them
+//!    all, refilled in place.
 //! 3. **Latency holds under load.** A [`ServerCore`] (real admission
 //!    queue + inference thread, no TCP) is driven closed-loop by
 //!    worker threads multiplexing N virtual clients; p50/p99 and
@@ -122,7 +123,7 @@ fn one_pass(
         disp.admit(req, i as u64);
         handles.push(handle);
     }
-    disp.drain(STREAM as u64);
+    disp.flush(STREAM as u64);
     for handle in handles {
         let forecast = handle.try_take().expect("drained").expect("forecast");
         if let Some(bits) = bits.as_deref_mut() {
@@ -131,25 +132,29 @@ fn one_pass(
     }
 }
 
-/// Tensor-allocator acquires across `reps` full batches after warmup:
-/// the slabs and plan schedule exist, so the steady state must be zero.
+/// Tensor-allocator acquires across `reps` sweeps of every batch size
+/// from the cap down to 1 after one full warmup batch: the slab and plan
+/// schedule exist at the cap, so the steady state must be zero.
 fn steady_state_acquires(disp: &mut Dispatcher, payloads: &[Payload], reps: usize) -> u64 {
-    let full_batch = |disp: &mut Dispatcher, base: usize| {
-        let handles: Vec<_> = (0..BATCH_CAP)
+    let batch = |disp: &mut Dispatcher, b: usize| {
+        let handles: Vec<_> = (0..b)
             .map(|i| {
-                let (req, handle) = request(payloads, base + i);
-                disp.admit(req, (base + i) as u64);
+                let (req, handle) = request(payloads, i);
+                disp.admit(req, i as u64);
                 handle
             })
             .collect();
+        disp.flush(b as u64);
         for handle in handles {
-            handle.try_take().expect("cap-full flush runs inline").expect("forecast");
+            handle.try_take().expect("flushed").expect("forecast");
         }
     };
-    full_batch(disp, 0);
+    batch(disp, BATCH_CAP);
     let before = obs::snapshot();
-    for r in 1..=reps {
-        full_batch(disp, r * BATCH_CAP);
+    for _ in 0..reps {
+        for b in (1..=BATCH_CAP).rev() {
+            batch(disp, b);
+        }
     }
     obs::snapshot().since(&before).alloc_acquires
 }
@@ -251,11 +256,11 @@ fn main() {
     );
     let mut registry = Registry::new();
     registry.add(tenant);
-    let mut serial = Dispatcher::new(registry, 1, u64::MAX);
+    let mut serial = Dispatcher::new(registry, 1);
     let (tenant2, _) = workload();
     let mut registry = Registry::new();
     registry.add(tenant2);
-    let mut batched = Dispatcher::new(registry, BATCH_CAP, u64::MAX);
+    let mut batched = Dispatcher::new(registry, BATCH_CAP);
 
     // --- Arm 1: per-request interpreted vs pipelined throughput ----------
     // Serial = cap 1 + interpreted eval (the naive per-request server),
@@ -293,7 +298,6 @@ fn main() {
     // --- Arm 3: closed-loop latency under load ---------------------------
     let cfg = ServeConfig {
         max_batch: BATCH_CAP,
-        hold_ns: 1_000_000,
         queue_cap: 2048,
         ..ServeConfig::default()
     };

@@ -22,7 +22,7 @@ USAGE:
   sagdfn inspect  --data <file.csv>
   sagdfn profile  [--steps 20] [--scale tiny|small|paper] [--mode counters|full] [--out trace.jsonl]
   sagdfn serve    --data <file.csv> --model <stem> [--name default] [--addr 127.0.0.1:7878]
-                  [--batch-max 32] [--hold-ms 2] [--queue 1024] [--deadline-ms 0]
+                  [--batch-max 32] [--queue 1024] [--deadline-ms 0]
                   [--tenants name=stem:data.csv,...]
   sagdfn help";
 
@@ -555,17 +555,27 @@ impl TenantSpec {
     }
 }
 
+/// Every flag `sagdfn serve` reads; any other is an error, so a stale
+/// flag (such as the removed `--hold-ms`) cannot pass unnoticed.
+const SERVE_FLAGS: [&str; 8] =
+    ["data", "model", "name", "addr", "batch-max", "queue", "deadline-ms", "tenants"];
+
 /// Parses serve flags into a config and tenant list, then binds and
 /// starts the server (split out so tests can drive a live instance on
 /// an ephemeral port).
 fn start_server(flags: &HashMap<String, String>) -> Result<sagdfn_serve::Server, String> {
+    let mut unknown: Vec<&String> =
+        flags.keys().filter(|k| !SERVE_FLAGS.contains(&k.as_str())).collect();
+    unknown.sort();
+    if let Some(flag) = unknown.first() {
+        return Err(format!("serve does not take --{flag}"));
+    }
     let addr = flags.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:7878".into());
     let max_batch = parse_num(flags, "batch-max", 32usize)?;
-    let hold_ms = parse_num(flags, "hold-ms", 2.0f64)?;
     let queue_cap = parse_num(flags, "queue", 1024usize)?;
     let deadline_ms = parse_num(flags, "deadline-ms", 0u64)?;
-    if max_batch == 0 || queue_cap == 0 || !hold_ms.is_finite() || hold_ms < 0.0 {
-        return Err("batch-max and queue must be >= 1, hold-ms >= 0".into());
+    if max_batch == 0 || queue_cap == 0 {
+        return Err("batch-max and queue must be >= 1".into());
     }
 
     let mut specs = Vec::new();
@@ -593,7 +603,6 @@ fn start_server(flags: &HashMap<String, String>) -> Result<sagdfn_serve::Server,
     let cfg = sagdfn_serve::ServeConfig {
         addr,
         max_batch,
-        hold_ns: (hold_ms * 1e6) as u64,
         queue_cap,
         default_deadline_ns: (deadline_ms > 0).then(|| deadline_ms * 1_000_000),
     };
@@ -753,7 +762,7 @@ mod tests {
 
         let flags = parse_flags(&strs(&[
             "--data", &csv, "--model", &stem, "--name", "metr", "--addr", "127.0.0.1:0",
-            "--batch-max", "4", "--hold-ms", "1",
+            "--batch-max", "4",
         ]))
         .unwrap();
         let server = start_server(&flags).expect("bind ephemeral port");
@@ -794,6 +803,17 @@ mod tests {
         match start_server(&flags) {
             Err(e) => assert!(e.contains("nothing to serve"), "{e}"),
             Ok(_) => panic!("tenant-less serve must fail"),
+        }
+
+        // A flag serve does not read is an error naming it, before any
+        // thread spawns — including the removed batch hold.
+        let flags = parse_flags(&strs(&[
+            "--data", &csv, "--model", &stem, "--addr", "127.0.0.1:0", "--hold-ms", "2",
+        ]))
+        .unwrap();
+        match start_server(&flags) {
+            Err(e) => assert_eq!(e, "serve does not take --hold-ms"),
+            Ok(_) => panic!("an unknown serve flag must fail"),
         }
     }
 

@@ -42,10 +42,12 @@ pub struct Sagdfn {
     /// Eval-mode adjacency cache: frozen slim weights, normalizer and CSR
     /// plan, shared across batches until the parameters can have changed.
     frozen: RefCell<Option<Rc<FrozenPlan>>>,
-    /// Compiled eval schedules, one per batch shape seen (a sweep's tail
-    /// batch compiles its own). Entries are tied to the `FrozenPlan` they
-    /// were built from, so [`Sagdfn::invalidate_plan`] drops them too.
-    planned: RefCell<Vec<PlanExecutor>>,
+    /// The compiled eval schedule: one for every batch size, sized to
+    /// the largest batch seen since it was compiled (a sweep's tail batch
+    /// or a partial serving batch runs on a prefix of its arena). Tied to
+    /// the `FrozenPlan` it was built from, so [`Sagdfn::invalidate_plan`]
+    /// drops it too.
+    planned: RefCell<Option<PlanExecutor>>,
 }
 
 impl Sagdfn {
@@ -105,7 +107,7 @@ impl Sagdfn {
             rng,
             topo,
             frozen: RefCell::new(None),
-            planned: RefCell::new(Vec::new()),
+            planned: RefCell::new(None),
         }
     }
 
@@ -186,7 +188,7 @@ impl Sagdfn {
     /// next eval forward rebuilds it once.
     pub fn invalidate_plan(&self) {
         self.frozen.borrow_mut().take();
-        self.planned.borrow_mut().clear();
+        *self.planned.borrow_mut() = None;
     }
 
     /// The frozen eval-mode adjacency artifacts, built once per parameter
@@ -330,8 +332,9 @@ impl Sagdfn {
     }
 
     /// Runs the compiled eval schedule directly into `out` (shaped
-    /// [`Sagdfn::output_dims`]), bypassing the tape entirely. Compiles the schedule
-    /// on first use per batch shape; steady-state calls perform zero
+    /// [`Sagdfn::output_dims`]), bypassing the tape entirely. Compiles the
+    /// schedule on first use and again only when a batch outgrows it;
+    /// steady-state calls of any batch size up to that perform zero
     /// allocator acquires. Returns `false` without touching `out` when
     /// the planned path is ineligible (non-GRU backbone or
     /// `SAGDFN_PLAN=off`), in which case the caller falls back to
@@ -351,41 +354,35 @@ impl Sagdfn {
         };
         let frozen = self.frozen_plan();
         let dims = PlanDims {
-            b: batch.x.dim(1),
             n: batch.x.dim(2),
             m: frozen.index().map_or(self.n, <[usize]>::len),
             h_len: batch.x.dim(0),
             f_len: batch.y.dim(0),
             hidden: self.cfg.hidden,
         };
+        let b = batch.x.dim(1);
         let mut cache = self.planned.borrow_mut();
-        // Executors compiled against a dropped FrozenPlan can never match
-        // again — the model's Rc was replaced — so prune them here
-        // (invalidate_plan also clears; this catches rebuilds that
-        // happened between invalidation and now).
-        cache.retain(|e| e.same_frozen(&frozen));
-        let exec = match cache.iter().position(|e| e.matches_shape(&frozen, dims)) {
-            Some(i) => {
-                // Same weights and shape but drifted normalization stats
-                // (streaming scaler updates): refresh the baked-in affine
-                // coefficients in place instead of recompiling.
-                if !cache[i].matches(&frozen, dims, scaler) {
-                    cache[i].rebind_scaler(scaler);
-                }
-                &mut cache[i]
-            }
-            None => {
-                cache.push(plan::compile(
-                    encoders,
-                    decoders,
-                    head.as_ref(),
-                    &frozen,
-                    dims,
-                    scaler,
-                ));
-                cache.last_mut().expect("just pushed")
-            }
-        };
+        // A stale executor (its FrozenPlan was replaced) or one too small
+        // for this batch is recompiled at `b`: the largest batch seen
+        // under these weights. The old arena is released first.
+        if !cache.as_ref().is_some_and(|e| e.fits(&frozen, dims, b)) {
+            *cache = None;
+            *cache = Some(plan::compile(
+                encoders,
+                decoders,
+                head.as_ref(),
+                &frozen,
+                dims,
+                b,
+                scaler,
+            ));
+        }
+        let exec = cache.as_mut().expect("compiled above");
+        // Drifted normalization stats (streaming scaler updates) refresh
+        // the baked-in affine coefficients in place instead of recompiling.
+        if !exec.matches_scaler(scaler) {
+            exec.rebind_scaler(scaler);
+        }
         exec.run_into(&self.params, batch, out.as_mut_slice());
         true
     }
@@ -419,7 +416,7 @@ impl Sagdfn {
     /// (op kind, shape, kernel choice, buffer slots), or `None` when no
     /// planned forward has run yet. Surfaced by `sagdfn profile`.
     pub fn plan_table(&self) -> Option<String> {
-        self.planned.borrow().last().map(PlanExecutor::table)
+        self.planned.borrow().as_ref().map(PlanExecutor::table)
     }
 
     /// Scheduled-sampling teacher probability at a training iteration:

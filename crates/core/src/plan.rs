@@ -15,9 +15,14 @@
 //!   epilogue (`(A·X_I + X) ⊙ (D+I)^{-1}`) run as single fused SIMD
 //!   passes ([`sagdfn_tensor::simd`]), bit-identical to the unfused op
 //!   sequences they replace;
-//! * per-op kernel choices — sparse vs dense diffusion, pooled vs serial
-//!   GEMM — are pinned at compile time from the frozen plan and the
-//!   process-fixed worker pool.
+//! * the schedule does not depend on the batch size: it is compiled for
+//!   a capacity, and any batch of `b ≤ capacity` windows runs on
+//!   prefixes of the same slots with `b · N` rows chosen at run time, so
+//!   one executor (and one arena) serves every batch size a caller sends;
+//! * the sparse vs dense diffusion product is pinned at compile time
+//!   from the frozen plan; pooled vs serial kernels are chosen per run
+//!   from the actual row count (bit-neutral by the pool's determinism
+//!   contract).
 //!
 //! One scheduling improvement over the interpreter falls out of the
 //! compile step for free: the reset and update gates convolve the *same*
@@ -112,12 +117,11 @@ pub(crate) fn plan_enabled() -> bool {
 // Schedule IR
 // ---------------------------------------------------------------------
 
-/// Problem dimensions a schedule is specialized for. A different batch
-/// size (the tail batch of a sweep) compiles its own schedule.
+/// Problem dimensions a schedule is specialized for. The batch size is
+/// not one of them: a schedule runs any batch up to the capacity it was
+/// compiled for (see [`PlanExecutor::run_into`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct PlanDims {
-    /// Batch size `B`.
-    pub b: usize,
     /// Node count `N`.
     pub n: usize,
     /// Adjacency columns `M` (`== n` for a dense adjacency).
@@ -128,13 +132,6 @@ pub(crate) struct PlanDims {
     pub f_len: usize,
     /// GRU width `D`.
     pub hidden: usize,
-}
-
-impl PlanDims {
-    /// Rows of every per-step matrix: `B · N`.
-    fn rows(&self) -> usize {
-        self.b * self.n
-    }
 }
 
 /// A non-slot operand of a concat: step `t` of an input tensor, read
@@ -173,7 +170,6 @@ enum Op {
         dst: usize,
         k: usize,
         n_out: usize,
-        pooled: bool,
     },
     /// `dst[r][j] += bias[j]` in place.
     BiasAdd { dst: usize, bias: ParamId },
@@ -182,19 +178,9 @@ enum Op {
     /// Slim gather `dst[b][i] = src[b][index[i]]` rows of width `c`.
     Gather { src: usize, dst: usize, c: usize },
     /// CSR diffusion product `dst[b] = A · src[b]`, `(B, M, c) → (B, N, c)`.
-    Spmm {
-        src: usize,
-        dst: usize,
-        c: usize,
-        pooled: bool,
-    },
+    Spmm { src: usize, dst: usize, c: usize },
     /// Dense diffusion product: per-batch `A[N×M] · src[b][M×c]`.
-    DenseMm {
-        src: usize,
-        dst: usize,
-        c: usize,
-        pooled: bool,
-    },
+    DenseMm { src: usize, dst: usize, c: usize },
     /// Fused `dst = (ax + x) ⊙ deg_inv` (diffusion normalizer).
     Epilogue {
         ax: usize,
@@ -370,7 +356,7 @@ impl Op {
 
 struct Builder<'f> {
     ops: Vec<Op>,
-    /// Virtual slot id → element count.
+    /// Virtual slot id → element count per batch window.
     sizes: Vec<usize>,
     dims: PlanDims,
     frozen: &'f FrozenPlan,
@@ -392,44 +378,33 @@ impl<'f> Builder<'f> {
     }
 
     fn concat2(&mut self, a: Src, ca: usize, b: Src, cb: usize) -> usize {
-        let dst = self.fresh(self.dims.rows() * (ca + cb));
+        let dst = self.fresh(self.dims.n * (ca + cb));
         self.ops.push(Op::Concat2 { a, ca, b, cb, dst });
         dst
     }
 
     /// One normalized diffusion step on slot `x` of width `c`, with the
-    /// sparse/dense and pooled/serial choices pinned from the frozen plan.
+    /// sparse/dense choice pinned from the frozen plan.
     fn diffuse(&mut self, x: usize, c: usize) -> usize {
         let d = self.dims;
         let gathered = if self.frozen.index().is_some() {
-            let g = self.fresh(d.b * d.m * c);
+            let g = self.fresh(d.m * c);
             self.ops.push(Op::Gather { src: x, dst: g, c });
             g
         } else {
             x
         };
-        let ax = self.fresh(d.rows() * c);
+        let ax = self.fresh(d.n * c);
         // Only the full-sparse plan runs the eval product on the CSR;
         // the hybrid's CSR serves the training-time adjacency gradient
         // and its forward product stays on the (faster) dense GEMM.
-        if self.frozen.products_sparse() {
-            let pooled = sparse::spmm_pooled_hint(d.rows() * c, d.rows());
-            self.ops.push(Op::Spmm {
-                src: gathered,
-                dst: ax,
-                c,
-                pooled,
-            });
+        let (src, dst) = (gathered, ax);
+        self.ops.push(if self.frozen.products_sparse() {
+            Op::Spmm { src, dst, c }
         } else {
-            let pooled = matmul::gemm_pooled_hint(d.n, c);
-            self.ops.push(Op::DenseMm {
-                src: gathered,
-                dst: ax,
-                c,
-                pooled,
-            });
-        }
-        let out = self.fresh(d.rows() * c);
+            Op::DenseMm { src, dst, c }
+        });
+        let out = self.fresh(d.n * c);
         self.ops.push(Op::Epilogue {
             ax,
             x,
@@ -442,9 +417,8 @@ impl<'f> Builder<'f> {
     /// The learnable accumulation of Eq. 9 over a pre-built diffusion
     /// chain: `Σ_j W_j · chain[j]` (+ bias on `j = 0`).
     fn gconv_acc(&mut self, steps: &[Linear], chain: &[usize], k: usize) -> usize {
-        let rows = self.dims.rows();
+        let rows = self.dims.n;
         let n_out = steps[0].out_dim();
-        let pooled = matmul::gemm_pooled_hint(rows, n_out);
         let acc = self.fresh(rows * n_out);
         self.ops.push(Op::Gemm {
             src: chain[0],
@@ -452,7 +426,6 @@ impl<'f> Builder<'f> {
             dst: acc,
             k,
             n_out,
-            pooled,
         });
         if let Some(bias) = steps[0].bias() {
             self.ops.push(Op::BiasAdd { dst: acc, bias });
@@ -465,7 +438,6 @@ impl<'f> Builder<'f> {
                 dst: tmp,
                 k,
                 n_out,
-                pooled,
             });
             if let Some(bias) = step.bias() {
                 self.ops.push(Op::BiasAdd { dst: tmp, bias });
@@ -479,7 +451,7 @@ impl<'f> Builder<'f> {
     /// hidden slot `h`; returns the new hidden slot. The `[x ‖ h]`
     /// diffusion chain is shared by the reset and update gates.
     fn cell_step(&mut self, cell: &OneStepFastGConv, x: Src, cx: usize, h: usize) -> usize {
-        let rows = self.dims.rows();
+        let rows = self.dims.n;
         let hidden = cell.hidden();
         let cat = cx + hidden;
         let xh = self.concat2(x, cx, Src::Slot(h), hidden);
@@ -581,11 +553,15 @@ fn assign_slots(mut ops: Vec<Op>, sizes: &[usize]) -> (Vec<Op>, Vec<usize>) {
 // Executor
 // ---------------------------------------------------------------------
 
-/// A compiled eval forward: flat schedule, pre-sized buffer arena, and
-/// the `FrozenPlan` the kernel choices were pinned from.
+/// A compiled eval forward: flat schedule, buffer arena sized for
+/// `capacity` batch windows, and the `FrozenPlan` the kernel choices were
+/// pinned from.
 pub(crate) struct PlanExecutor {
     frozen: Rc<FrozenPlan>,
     dims: PlanDims,
+    /// Largest batch the arena holds; any `b ≤ capacity` runs on slot
+    /// prefixes.
+    capacity: usize,
     /// `(mean, std)` bit patterns the seed/store coefficients bake in.
     scaler_bits: (u32, u32),
     scaler: ZScore,
@@ -597,8 +573,12 @@ pub(crate) struct PlanExecutor {
     /// Per-channel `(scale, offset)` of the Store epilogue.
     coeffs: Vec<(f32, f32)>,
     ops: Vec<Op>,
-    /// Physical buffer arena, acquired once at compile time.
+    /// Physical buffer arena, acquired once at compile time with room
+    /// for `capacity` windows; each run re-lengthens every slot to
+    /// `units[i] · b` within that room.
     slots: Vec<Vec<f32>>,
+    /// Per-window element count of each physical slot.
+    units: Vec<usize>,
     /// Number of virtual results the arena was compacted from.
     virtuals: usize,
     /// Cumulative per-op nanoseconds (tracked only while obs tracing is
@@ -612,17 +592,20 @@ pub(crate) struct PlanExecutor {
 /// [`Sagdfn::frozen_plan`](crate::model::Sagdfn::frozen_plan)). The
 /// head's epilogue — projection width, monotone reconstruction,
 /// feedback channel, per-channel un-normalization — is compiled from
-/// its declarative [`ForecastHead`] contract.
+/// its declarative [`ForecastHead`] contract. Slot sizes are recorded per
+/// batch window, so the linear scan pairs the same slots whatever the
+/// batch size; the arena is then sized for `capacity` windows.
 pub(crate) fn compile(
     encoders: &[OneStepFastGConv],
     decoders: &[OneStepFastGConv],
     head: &dyn ForecastHead,
     frozen: &Rc<FrozenPlan>,
     dims: PlanDims,
+    capacity: usize,
     scaler: ZScore,
 ) -> PlanExecutor {
     let _sp = obs::span("plan_build");
-    let rows = dims.rows();
+    let rows = dims.n;
     let mut b = Builder::new(dims, frozen);
 
     // Encoder over the history window; layer 0 reads batch.x directly.
@@ -666,7 +649,6 @@ pub(crate) fn compile(
             dst: pred,
             k,
             n_out: c,
-            pooled: matmul::gemm_pooled_hint(rows, c),
         });
         if let Some(bias) = linear.bias() {
             b.ops.push(Op::BiasAdd { dst: pred, bias });
@@ -690,8 +672,8 @@ pub(crate) fn compile(
     }
 
     let virtuals = b.sizes.len();
-    let (ops, slot_sizes) = assign_slots(b.ops, &b.sizes);
-    let slots = slot_sizes.iter().map(|&s| alloc::acquire_zeroed(s)).collect();
+    let (ops, units) = assign_slots(b.ops, &b.sizes);
+    let slots = units.iter().map(|&u| alloc::acquire_zeroed(u * capacity)).collect();
     obs::tally_plan_compile();
     let op_count = ops.len();
     let affine = head.affine();
@@ -699,6 +681,7 @@ pub(crate) fn compile(
     PlanExecutor {
         frozen: Rc::clone(frozen),
         dims,
+        capacity,
         scaler_bits: (scaler.mean.to_bits(), scaler.std.to_bits()),
         scaler,
         channels: head.channels(),
@@ -706,6 +689,7 @@ pub(crate) fn compile(
         coeffs,
         ops,
         slots,
+        units,
         virtuals,
         op_ns: vec![0; op_count],
         execs: 0,
@@ -713,27 +697,20 @@ pub(crate) fn compile(
 }
 
 impl PlanExecutor {
-    /// Whether this schedule is still valid for the given frozen plan,
-    /// dimensions and scaler. Pointer equality on the `FrozenPlan` is the
-    /// staleness signal: the model drops it on `tick`/resample/refresh,
-    /// so a surviving `Rc` proves the parameters haven't changed.
-    pub(crate) fn matches(&self, frozen: &Rc<FrozenPlan>, dims: PlanDims, scaler: ZScore) -> bool {
-        Rc::ptr_eq(&self.frozen, frozen)
-            && self.dims == dims
-            && self.scaler_bits == (scaler.mean.to_bits(), scaler.std.to_bits())
+    /// Whether this schedule can run a batch of `b` windows under the
+    /// given frozen plan and dimensions. Pointer equality on the
+    /// `FrozenPlan` is the staleness signal: the model drops it on
+    /// `tick`/resample/refresh, so a surviving `Rc` proves the parameters
+    /// haven't changed. The scaler is not part of the match: drifted
+    /// normalization statistics (streaming updates) only need
+    /// [`PlanExecutor::rebind_scaler`].
+    pub(crate) fn fits(&self, frozen: &Rc<FrozenPlan>, dims: PlanDims, b: usize) -> bool {
+        Rc::ptr_eq(&self.frozen, frozen) && self.dims == dims && b <= self.capacity
     }
 
-    /// Whether this executor was compiled from the given frozen plan.
-    pub(crate) fn same_frozen(&self, frozen: &Rc<FrozenPlan>) -> bool {
-        Rc::ptr_eq(&self.frozen, frozen)
-    }
-
-    /// Shape-only match: same frozen weights and dims, scaler ignored.
-    /// A hit here with a [`PlanExecutor::matches`] miss means the
-    /// normalization statistics drifted (streaming updates) and
-    /// [`PlanExecutor::rebind_scaler`] can refresh the schedule in place.
-    pub(crate) fn matches_shape(&self, frozen: &Rc<FrozenPlan>, dims: PlanDims) -> bool {
-        Rc::ptr_eq(&self.frozen, frozen) && self.dims == dims
+    /// Whether the seed/store coefficients were baked from `scaler`.
+    pub(crate) fn matches_scaler(&self, scaler: ZScore) -> bool {
+        self.scaler_bits == (scaler.mean.to_bits(), scaler.std.to_bits())
     }
 
     /// Rebinds the scaler the seed/store epilogues bake in, without
@@ -749,13 +726,25 @@ impl PlanExecutor {
         obs::tally_plan_rebind();
     }
 
-    /// Runs the compiled schedule. `out` receives the raw-unit
-    /// predictions, laid out `(f, B, N)`; it must be pre-sized. After the
-    /// compile-time warmup this performs zero allocator acquires.
+    /// Runs the compiled schedule on a batch of `b ≤ capacity` windows.
+    /// `out` receives the raw-unit predictions, laid out `(f, B, N)`; it
+    /// must be pre-sized. After the compile-time warmup this performs
+    /// zero allocator acquires, whatever `b` is.
     pub(crate) fn run_into(&mut self, params: &Params, batch: &Batch, out: &mut [f32]) {
         let _sp = obs::span("plan_exec");
         let d = self.dims;
-        let rows = d.rows();
+        let b = batch.x.dim(1);
+        assert!(
+            (1..=self.capacity).contains(&b),
+            "batch of {b} windows outside the plan's capacity {}",
+            self.capacity
+        );
+        let rows = b * d.n;
+        // Every slot runs on a prefix of its capacity-sized buffer;
+        // re-lengthening within the capacity never allocates.
+        for (slot, &unit) in self.slots.iter_mut().zip(&self.units) {
+            slot.resize(unit * b, 0.0);
+        }
         assert_eq!(
             out.len(),
             d.f_len * rows * self.channels,
@@ -814,7 +803,6 @@ impl PlanExecutor {
                     dst,
                     k,
                     n_out,
-                    pooled,
                 } => {
                     let mut dbuf = std::mem::take(&mut slots[dst]);
                     matmul::gemm_into(
@@ -824,7 +812,7 @@ impl PlanExecutor {
                         rows,
                         k,
                         n_out,
-                        pooled,
+                        matmul::gemm_pooled_hint(rows, n_out),
                     );
                     slots[dst] = dbuf;
                 }
@@ -844,7 +832,7 @@ impl PlanExecutor {
                     let mut dbuf = std::mem::take(&mut slots[dst]);
                     let sv = &slots[src];
                     let index = index.expect("gather op requires a slim index");
-                    for bb in 0..d.b {
+                    for bb in 0..b {
                         let s_base = bb * d.n * c;
                         let d_base = bb * d.m * c;
                         for (i, &ix) in index.iter().enumerate() {
@@ -854,26 +842,18 @@ impl PlanExecutor {
                     }
                     slots[dst] = dbuf;
                 }
-                Op::Spmm {
-                    src,
-                    dst,
-                    c,
-                    pooled,
-                } => {
+                Op::Spmm { src, dst, c } => {
                     let mut dbuf = std::mem::take(&mut slots[dst]);
                     let csr = self.frozen.csr().expect("spmm op requires a CSR plan");
-                    csr.spmm_into(&slots[src], d.b, c, &mut dbuf, pooled);
+                    let pooled = sparse::spmm_pooled_hint(rows * c, rows);
+                    csr.spmm_into(&slots[src], b, c, &mut dbuf, pooled);
                     slots[dst] = dbuf;
                 }
-                Op::DenseMm {
-                    src,
-                    dst,
-                    c,
-                    pooled,
-                } => {
+                Op::DenseMm { src, dst, c } => {
                     let mut dbuf = std::mem::take(&mut slots[dst]);
                     let sv = &slots[src];
                     let wv = weights.as_slice();
+                    let pooled = matmul::gemm_pooled_hint(d.n, c);
                     for (ob, xb) in dbuf
                         .chunks_exact_mut(d.n * c)
                         .zip(sv.chunks_exact(d.m * c))
@@ -958,22 +938,24 @@ impl PlanExecutor {
 
     /// Total bytes of the physical buffer arena.
     pub(crate) fn arena_bytes(&self) -> usize {
-        self.slots.iter().map(|s| s.len() * 4).sum()
+        self.slots.iter().map(|s| s.capacity() * 4).sum()
     }
 
     /// Renders the compiled schedule as a table: a per-kind rollup
-    /// followed by every op with its shape, kernel choice and slots.
-    /// Mean per-op times appear once the executor has run under tracing.
+    /// followed by every op with its shape, kernel choice and slots, both
+    /// at full capacity. Mean per-op times appear once the executor has
+    /// run under tracing.
     pub(crate) fn table(&self) -> String {
         let d = self.dims;
-        let rows = d.rows();
+        let b = self.capacity;
+        let rows = b * d.n;
         let mut out = format!(
-            "compiled plan: {} ops, {} slots ({:.1} KiB arena, {} virtuals), dims b={} n={} m={} h={} f={} d={}\n",
+            "compiled plan: {} ops, {} slots ({:.1} KiB arena, {} virtuals), dims capacity={} n={} m={} h={} f={} d={}\n",
             self.ops.len(),
             self.slots.len(),
             self.arena_bytes() as f64 / 1024.0,
             self.virtuals,
-            d.b,
+            b,
             d.n,
             d.m,
             d.h_len,
@@ -1026,30 +1008,30 @@ impl PlanExecutor {
                     "row memcpy".into(),
                     format!("{}‖{} -> s{dst}", fmt_src(a), fmt_src(b)),
                 ),
-                Op::Gemm { src, dst, k, n_out, pooled, .. } => (
+                Op::Gemm { src, dst, k, n_out, .. } => (
                     format!("({rows}x{k})·({k}x{n_out})"),
-                    if pooled { "simd pooled" } else { "simd serial" }.into(),
+                    if matmul::gemm_pooled_hint(rows, n_out) { "simd pooled" } else { "simd serial" }.into(),
                     format!("s{src} -> s{dst}"),
                 ),
                 Op::BiasAdd { dst, .. } => (format!("({rows},?)"), "bias_add".into(), format!("s{dst}")),
                 Op::AddAssign { dst, src } => (format!("({rows},?)"), "add in place".into(), format!("s{dst} += s{src}")),
                 Op::Gather { src, dst, c } => (
-                    format!("({},{},{c})", d.b, d.m),
+                    format!("({b},{},{c})", d.m),
                     "index rows".into(),
                     format!("s{src} -> s{dst}"),
                 ),
-                Op::Spmm { src, dst, c, pooled } => (
-                    format!("({},{},{c})", d.b, d.n),
-                    if pooled { "csr pooled" } else { "csr serial" }.into(),
+                Op::Spmm { src, dst, c } => (
+                    format!("({b},{},{c})", d.n),
+                    if sparse::spmm_pooled_hint(rows * c, rows) { "csr pooled" } else { "csr serial" }.into(),
                     format!("s{src} -> s{dst}"),
                 ),
-                Op::DenseMm { src, dst, c, pooled } => (
-                    format!("({},{},{c})", d.b, d.n),
-                    if pooled { "gemm pooled" } else { "gemm serial" }.into(),
+                Op::DenseMm { src, dst, c } => (
+                    format!("({b},{},{c})", d.n),
+                    if matmul::gemm_pooled_hint(d.n, c) { "gemm pooled" } else { "gemm serial" }.into(),
                     format!("s{src} -> s{dst}"),
                 ),
                 Op::Epilogue { ax, x, dst, c } => (
-                    format!("({},{},{c})", d.b, d.n),
+                    format!("({b},{},{c})", d.n),
                     "fused simd".into(),
                     format!("s{ax},s{x} -> s{dst}"),
                 ),

@@ -133,6 +133,18 @@ impl Batch {
         }
     }
 
+    /// Re-dimensions the batch in place to `b` windows, reusing its
+    /// buffers: `b` must not exceed the batch size it was built with.
+    /// The layout is time-major, so existing columns do not survive;
+    /// re-encode every column `0..b` before use.
+    pub fn redim(&mut self, b: usize) {
+        let (h, n, f) = (self.x.dim(0), self.x.dim(2), self.y.dim(0));
+        self.x.redim([h, b, n, 3]);
+        self.y.redim([f, b, n]);
+        self.x_last_raw.redim([b, n]);
+        self.future_cov.redim([f, b, n, 2]);
+    }
+
     /// Encodes one raw window into batch column `bi`: the single model
     /// input encoding that training, serving and streaming share, so the
     /// three feed the model bit-identical inputs for the same window.

@@ -247,6 +247,8 @@ static SIMD_TIERS: [AtomicU64; SIMD_TIER_COUNT] = [
 static SERVE_ADMITTED: AtomicU64 = AtomicU64::new(0);
 static SERVE_SHED: AtomicU64 = AtomicU64::new(0);
 static SERVE_EXPIRED: AtomicU64 = AtomicU64::new(0);
+static SERVE_FAILED: AtomicU64 = AtomicU64::new(0);
+static SERVE_QUARANTINED: AtomicU64 = AtomicU64::new(0);
 static SERVE_BATCHES: AtomicU64 = AtomicU64::new(0);
 static SERVE_BATCHED_REQUESTS: AtomicU64 = AtomicU64::new(0);
 static SERVE_QUEUE_HW: AtomicU64 = AtomicU64::new(0);
@@ -476,6 +478,26 @@ pub fn tally_serve_expired() {
     add(&SERVE_EXPIRED, 1);
 }
 
+/// Counts one forecast request answered 500 because its micro-batch's
+/// forward panicked.
+#[inline]
+pub fn tally_serve_failed() {
+    if !enabled() {
+        return;
+    }
+    add(&SERVE_FAILED, 1);
+}
+
+/// Counts one forecast request answered 503 because its tenant was
+/// quarantined after a failed forward.
+#[inline]
+pub fn tally_serve_quarantined() {
+    if !enabled() {
+        return;
+    }
+    add(&SERVE_QUARANTINED, 1);
+}
+
 /// Counts one executed micro-batch of `occupancy` coalesced requests,
 /// bucketing the occupancy into the serve histogram.
 #[inline]
@@ -605,6 +627,10 @@ pub struct Snapshot {
     pub serve_shed: u64,
     /// Forecast requests answered 504 before their batch ran.
     pub serve_expired: u64,
+    /// Forecast requests answered 500 because their forward panicked.
+    pub serve_failed: u64,
+    /// Forecast requests answered 503 by a quarantined tenant.
+    pub serve_quarantined: u64,
     /// Executed serving micro-batches.
     pub serve_batches: u64,
     /// Requests coalesced across those micro-batches.
@@ -658,6 +684,8 @@ pub fn snapshot() -> Snapshot {
     s.serve_admitted = SERVE_ADMITTED.load(Ordering::Relaxed);
     s.serve_shed = SERVE_SHED.load(Ordering::Relaxed);
     s.serve_expired = SERVE_EXPIRED.load(Ordering::Relaxed);
+    s.serve_failed = SERVE_FAILED.load(Ordering::Relaxed);
+    s.serve_quarantined = SERVE_QUARANTINED.load(Ordering::Relaxed);
     s.serve_batches = SERVE_BATCHES.load(Ordering::Relaxed);
     s.serve_batched_requests = SERVE_BATCHED_REQUESTS.load(Ordering::Relaxed);
     s.serve_queue_hw = SERVE_QUEUE_HW.load(Ordering::Relaxed);
@@ -715,6 +743,8 @@ impl Snapshot {
         d.serve_admitted = self.serve_admitted.saturating_sub(base.serve_admitted);
         d.serve_shed = self.serve_shed.saturating_sub(base.serve_shed);
         d.serve_expired = self.serve_expired.saturating_sub(base.serve_expired);
+        d.serve_failed = self.serve_failed.saturating_sub(base.serve_failed);
+        d.serve_quarantined = self.serve_quarantined.saturating_sub(base.serve_quarantined);
         d.serve_batches = self.serve_batches.saturating_sub(base.serve_batches);
         d.serve_batched_requests =
             self.serve_batched_requests.saturating_sub(base.serve_batched_requests);
@@ -763,6 +793,8 @@ pub fn reset_counters() {
         &SERVE_ADMITTED,
         &SERVE_SHED,
         &SERVE_EXPIRED,
+        &SERVE_FAILED,
+        &SERVE_QUARANTINED,
         &SERVE_BATCHES,
         &SERVE_BATCHED_REQUESTS,
         &SERVE_QUEUE_HW,
@@ -1086,6 +1118,14 @@ pub fn format_table(snap: &Snapshot) -> String {
         ));
     }
     if snap.serve_admitted + snap.serve_shed + snap.serve_expired + snap.serve_batches > 0 {
+        let faults = if snap.serve_failed + snap.serve_quarantined > 0 {
+            format!(
+                " / {} failed / {} quarantined",
+                snap.serve_failed, snap.serve_quarantined
+            )
+        } else {
+            String::new()
+        };
         let hist: Vec<String> = snap
             .serve_batch_hist
             .iter()
@@ -1094,7 +1134,7 @@ pub fn format_table(snap: &Snapshot) -> String {
             .map(|(&c, label)| format!("{label}:{c}"))
             .collect();
         out.push_str(&format!(
-            "serve: {} admitted / {} shed / {} expired; {} batches ({} requests, \
+            "serve: {} admitted / {} shed / {} expired{faults}; {} batches ({} requests, \
              queue high-water {}); occupancy {}\n",
             snap.serve_admitted,
             snap.serve_shed,
@@ -1170,6 +1210,9 @@ mod tests {
         tally_serve_admitted(1);
         tally_serve_shed();
         tally_serve_expired();
+        tally_serve_failed();
+        tally_serve_failed();
+        tally_serve_quarantined();
         tally_serve_batch(1);
         tally_serve_batch(3);
         tally_serve_batch(200); // clamps into the 128+ bucket
@@ -1190,6 +1233,7 @@ mod tests {
         assert_eq!((d.stream_ticks, d.stream_ft_steps, d.stream_anomalies), (2, 4, 2));
         assert_eq!(d.simd_tiers, [1, 0, 0, 2]);
         assert_eq!((d.serve_admitted, d.serve_shed, d.serve_expired), (3, 1, 1));
+        assert_eq!((d.serve_failed, d.serve_quarantined), (2, 1));
         assert_eq!((d.serve_batches, d.serve_batched_requests), (3, 204));
         assert_eq!(d.serve_queue_hw, 5, "high-water keeps the lifetime max");
         assert_eq!(d.serve_batch_hist, [1, 1, 0, 0, 0, 0, 0, 1]);

@@ -1,9 +1,8 @@
 //! Injected time source for the serving pipeline.
 //!
-//! Every deadline in the server — micro-batch hold expiry and
-//! per-request deadlines — is a `u64` nanosecond stamp in one process
-//! timebase. `Instant` cannot be fabricated, so the batcher and
-//! dispatcher never touch it directly: they take `now_ns` values from a
+//! Every deadline in the server is a per-request `u64` nanosecond stamp
+//! in one process timebase. `Instant` cannot be fabricated, so the
+//! dispatcher never touches it directly: it takes `now_ns` values from a
 //! [`Clock`], the real server feeds them from [`RealClock`], and the
 //! deadline tests drive the exact same code with a [`MockClock`] whose
 //! hands only move when the test says so (no real sleeps).

@@ -1,29 +1,31 @@
 //! Forecast engine: requests, tenants, and the micro-batch dispatcher.
 //!
 //! A [`ForecastRequest`] carries raw history values for one tenant; the
-//! [`Dispatcher`] coalesces concurrent requests per tenant through a
-//! [`MicroBatcher`] and runs each flush as **one** batched no-grad
-//! forward via [`Sagdfn::predict_batch_into`]. Because every kernel in
-//! the stack is row-independent with a fixed accumulation order, column
-//! `b` of the batched forward is bit-identical to a `B = 1` forward of
-//! request `b` alone — `tests/serve_batching.rs` pins that equivalence
-//! across batch caps and plan/SIMD modes.
+//! [`Dispatcher`] coalesces concurrent requests per tenant and runs each
+//! batch as **one** batched no-grad forward via
+//! [`Sagdfn::predict_batch_into`]. Because every kernel in the stack is
+//! row-independent with a fixed accumulation order, column `b` of the
+//! batched forward is bit-identical to a `B = 1` forward of request `b`
+//! alone — `tests/serve_batching.rs` pins that equivalence across batch
+//! caps and plan/SIMD modes.
 //!
-//! Tenants keep one [`Batch`] slab plus output buffer per batch size
-//! seen, refilled in place each flush, so a warm tenant serves requests
-//! with **zero** allocator acquires: the planned executor writes
-//! straight into the cached output tensor and the only per-request
-//! allocation is the plain response `Vec` handed to the client. The
-//! refill is [`Batch::encode_window`] over the tenant's
+//! Each tenant keeps one [`Batch`] slab plus output buffer, sized to the
+//! largest batch it has served and re-dimensioned in place for smaller
+//! ones, so a warm tenant serves a batch of any size with **zero**
+//! allocator acquires: the planned executor (itself one schedule for
+//! every batch size) writes straight into the cached output tensor and
+//! the only per-request allocation is the plain response `Vec` handed to
+//! the client. The refill is [`Batch::encode_window`] over the tenant's
 //! [`sagdfn_data::Clock`], the same input encoding training's
 //! `make_batch` and the streaming engine use, so a served window is
 //! encoded exactly as training encoded it.
 
-use crate::batcher::{BatchItem, Flush, MicroBatcher};
+use crate::queue::{Bounded, PushError};
 use sagdfn_core::{HeadKind, Sagdfn};
 use sagdfn_data::{Batch, Clock, ZScore};
 use sagdfn_obs as obs;
 use sagdfn_tensor::Tensor;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -45,6 +47,11 @@ pub enum ServeError {
     UnknownModel(String),
     /// Malformed request (400).
     BadRequest(String),
+    /// The forward panicked on this request's batch (500); its tenant is
+    /// quarantined from then on.
+    Internal,
+    /// The tenant is quarantined after a failed forward (503).
+    Quarantined(String),
 }
 
 impl ServeError {
@@ -53,9 +60,10 @@ impl ServeError {
         match self {
             ServeError::QueueFull => 429,
             ServeError::DeadlineExceeded => 504,
-            ServeError::ShuttingDown => 503,
+            ServeError::ShuttingDown | ServeError::Quarantined(_) => 503,
             ServeError::UnknownModel(_) => 404,
             ServeError::BadRequest(_) => 400,
+            ServeError::Internal => 500,
         }
     }
 
@@ -67,6 +75,10 @@ impl ServeError {
             ServeError::ShuttingDown => "server is shutting down".into(),
             ServeError::UnknownModel(name) => format!("unknown model {name:?}"),
             ServeError::BadRequest(msg) => msg.clone(),
+            ServeError::Internal => "the model's forward failed on this batch".into(),
+            ServeError::Quarantined(name) => {
+                format!("model {name:?} is quarantined after a failed forward")
+            }
         }
     }
 }
@@ -207,20 +219,15 @@ pub struct ForecastRequest {
     pub responder: Responder,
 }
 
-impl BatchItem for ForecastRequest {
-    fn deadline_ns(&self) -> Option<u64> {
-        self.deadline_ns
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Tenants and the registry
 // ---------------------------------------------------------------------------
 
-/// Per-batch-size cached buffers: the input slab refilled in place each
-/// flush and the output tensor the planned executor writes into.
+/// The tenant's cached buffers: the input slab refilled in place each
+/// batch and the output tensor the planned executor writes into, both
+/// built for `capacity` windows and re-dimensioned per batch.
 struct Slab {
-    b: usize,
+    capacity: usize,
     batch: Batch,
     out: Tensor,
 }
@@ -235,7 +242,7 @@ pub struct Tenant {
     f: usize,
     n: usize,
     clock: Clock,
-    slabs: Vec<Slab>,
+    slab: Option<Slab>,
 }
 
 impl Tenant {
@@ -261,7 +268,7 @@ impl Tenant {
             f,
             n,
             clock: Clock::new(interval_min, start_minute_of_week),
-            slabs: Vec::new(),
+            slab: None,
         }
     }
 
@@ -285,37 +292,43 @@ impl Tenant {
         self.f
     }
 
-    /// Index of the cached slab for batch size `b`, compiling a fresh
-    /// one on first sight of the size. The `y` tensor stays zero: the
-    /// no-teacher eval forward only reads its `f` dimension.
-    fn slab_index(&mut self, b: usize) -> usize {
-        if let Some(i) = self.slabs.iter().position(|s| s.b == b) {
-            return i;
+    /// The slab re-dimensioned to `b` windows. A batch larger than any
+    /// before replaces it with one sized to `b`, releasing the old one
+    /// first. The `y` tensor stays zero: the no-teacher eval forward only
+    /// reads its `f` dimension.
+    fn slab(&mut self, b: usize) -> &mut Slab {
+        // (f, B, N) for point heads, (f, B, N, C) otherwise.
+        let out_dims = self.model.output_dims(self.f, b);
+        if self.slab.as_ref().is_none_or(|s| s.capacity < b) {
+            self.slab = None;
+            self.slab = Some(Slab {
+                capacity: b,
+                batch: Batch::zeros(self.h, self.f, b, self.n),
+                out: Tensor::zeros(out_dims.as_slice()),
+            });
         }
-        self.slabs.push(Slab {
-            b,
-            batch: Batch::zeros(self.h, self.f, b, self.n),
-            // (f, B, N) for point heads, (f, B, N, C) otherwise.
-            out: Tensor::zeros(self.model.output_dims(self.f, b).as_slice()),
-        });
-        self.slabs.len() - 1
+        let slab = self.slab.as_mut().expect("sized above");
+        slab.batch.redim(b);
+        slab.out.redim(out_dims.as_slice());
+        slab
     }
 
-    /// Runs `reqs` as one batched forward and fulfils every responder.
-    /// Requests must all belong to this tenant and be pre-validated.
-    pub fn run_batch(&mut self, reqs: Vec<ForecastRequest>) {
+    /// Runs `reqs` as one batched forward and returns their forecasts in
+    /// order. Requests must all belong to this tenant and be
+    /// pre-validated.
+    pub fn run_batch(&mut self, reqs: &[ForecastRequest]) -> Vec<Forecast> {
         let b = reqs.len();
         if b == 0 {
-            return;
+            return Vec::new();
         }
         let (f, n, scaler, clock) = (self.f, self.n, self.scaler, self.clock);
-        let si = self.slab_index(b);
-        let slab = &mut self.slabs[si];
+        let slab = self.slab(b);
         for (bi, req) in reqs.iter().enumerate() {
             let row = |t: usize| &req.history[t * n..(t + 1) * n];
             slab.batch.encode_window(bi, req.start, clock, scaler, row, false);
         }
 
+        let slab = self.slab.as_mut().expect("filled above");
         self.model.predict_batch_into(&slab.batch, scaler, &mut slab.out);
 
         // Slice each request's column out of the (f, B, N[, C]) output.
@@ -333,31 +346,33 @@ impl Tenant {
             Vec::new()
         };
         let out = slab.out.as_slice();
-        for (bi, req) in reqs.into_iter().enumerate() {
-            let mut values = Vec::with_capacity(f * n);
-            let mut quantiles = is_quantile.then(|| Vec::with_capacity(f * n * c));
-            for t in 0..f {
-                let row = ((t * b + bi) * n) * c;
-                if c == 1 {
-                    values.extend_from_slice(&out[row..row + n]);
-                } else {
-                    for node in 0..n {
-                        let base = row + node * c;
-                        values.push(out[base + ch]);
-                        if let Some(q) = &mut quantiles {
-                            q.extend_from_slice(&out[base..base + c]);
+        (0..b)
+            .map(|bi| {
+                let mut values = Vec::with_capacity(f * n);
+                let mut quantiles = is_quantile.then(|| Vec::with_capacity(f * n * c));
+                for t in 0..f {
+                    let row = ((t * b + bi) * n) * c;
+                    if c == 1 {
+                        values.extend_from_slice(&out[row..row + n]);
+                    } else {
+                        for node in 0..n {
+                            let base = row + node * c;
+                            values.push(out[base + ch]);
+                            if let Some(q) = &mut quantiles {
+                                q.extend_from_slice(&out[base..base + c]);
+                            }
                         }
                     }
                 }
-            }
-            req.responder.fulfil(Ok(Forecast {
-                values,
-                quantiles,
-                levels: levels.clone(),
-                f,
-                n,
-            }));
-        }
+                Forecast {
+                    values,
+                    quantiles,
+                    levels: levels.clone(),
+                    f,
+                    n,
+                }
+            })
+            .collect()
     }
 }
 
@@ -474,25 +489,44 @@ pub struct DispatchStats {
     pub batched_requests: u64,
     /// Requests answered 504 without running.
     pub expired: u64,
+    /// Requests answered 500 because their batch's forward panicked.
+    pub failed: u64,
+    /// Requests answered 503 because their tenant was quarantined.
+    pub quarantined: u64,
 }
 
-/// Single-threaded micro-batching core: owns the registry and one
-/// [`MicroBatcher`] per tenant. The server wraps it in an inference
-/// thread; tests and the bench drive it directly with explicit clocks.
+/// Single-threaded micro-batching core: owns the registry and each
+/// tenant's pending batch. A batch executes when it reaches `max_batch`
+/// requests (inside [`Dispatcher::admit`]) or when the caller ends a
+/// pass with [`Dispatcher::flush`]; nothing waits on a timer. The server
+/// wraps it in an inference thread; tests and the bench drive it
+/// directly with explicit clocks.
+///
+/// A forward that panics answers its batch 500 and quarantines the
+/// tenant (every later request to it answers 503), so one broken model
+/// cannot take down the thread that serves every tenant.
 pub struct Dispatcher {
     registry: Registry,
-    batchers: Vec<MicroBatcher<ForecastRequest>>,
+    max_batch: usize,
+    pending: Vec<Vec<ForecastRequest>>,
+    quarantined: Vec<bool>,
     /// Totals since construction.
     pub stats: DispatchStats,
 }
 
 impl Dispatcher {
-    /// Wraps `registry` with per-tenant batchers flushing at
-    /// `max_batch` requests or after `hold_ns` nanoseconds.
-    pub fn new(registry: Registry, max_batch: usize, hold_ns: u64) -> Self {
-        let batchers =
-            (0..registry.len()).map(|_| MicroBatcher::new(max_batch, hold_ns)).collect();
-        Dispatcher { registry, batchers, stats: DispatchStats::default() }
+    /// Wraps `registry`, executing a tenant's batch once it holds
+    /// `max_batch` (≥ 1) requests.
+    pub fn new(registry: Registry, max_batch: usize) -> Self {
+        assert!(max_batch >= 1, "batch cap must be at least 1");
+        let tenants = registry.len();
+        Dispatcher {
+            registry,
+            max_batch,
+            pending: (0..tenants).map(|_| Vec::new()).collect(),
+            quarantined: vec![false; tenants],
+            stats: DispatchStats::default(),
+        }
     }
 
     /// The wrapped registry.
@@ -506,65 +540,103 @@ impl Dispatcher {
     }
 
     /// Dissolves the dispatcher, handing the registry back (tenant slab
-    /// caches intact). Held requests are dropped, which answers their
-    /// waiters with `ShuttingDown` — call [`Dispatcher::drain`] first.
+    /// caches intact). Pending requests are dropped, which answers their
+    /// waiters with `ShuttingDown` — call [`Dispatcher::flush`] first.
     pub fn into_registry(self) -> Registry {
         self.registry
     }
 
-    /// Admits one request at `now_ns`, executing immediately if its
-    /// tenant's batch filled.
+    /// Admits one request at `now_ns`, executing its tenant's batch if it
+    /// filled. A quarantined tenant's request is answered 503 at once.
     pub fn admit(&mut self, req: ForecastRequest, now_ns: u64) {
         let slot = req.tenant;
-        if let Some(flush) = self.batchers[slot].push(req, now_ns) {
-            self.execute(slot, flush);
+        if self.quarantined[slot] {
+            obs::tally_serve_quarantined();
+            self.stats.quarantined += 1;
+            let name = self.registry.tenant(slot).name().to_string();
+            req.responder.fulfil(Err(ServeError::Quarantined(name)));
+            return;
+        }
+        self.pending[slot].push(req);
+        if self.pending[slot].len() >= self.max_batch {
+            self.execute(slot, now_ns);
         }
     }
 
-    /// Earliest hold-deadline across tenants, for the dispatch loop's
-    /// sleep budget.
-    pub fn next_due(&self) -> Option<u64> {
-        self.batchers.iter().filter_map(MicroBatcher::due_at).min()
+    /// One dispatch pass over the admission queue: block for a request,
+    /// admit the requests queued behind it when the pass began (batches
+    /// that fill run inside [`Dispatcher::admit`]), then flush every
+    /// partial batch. An idle server so answers a lone request at once,
+    /// and requests that queue during a forward coalesce into the next
+    /// pass; capping the pass at the queue length it saw keeps one
+    /// tenant's flood from starving another tenant's partial batch.
+    /// Returns `false`, with nothing pending, once the queue is closed
+    /// and drained.
+    pub fn pass(&mut self, queue: &Bounded<ForecastRequest>, clock: &dyn crate::Clock) -> bool {
+        let Some(first) = queue.pop() else {
+            return false;
+        };
+        let queued = queue.len();
+        self.admit(first, clock.now_ns());
+        for req in std::iter::from_fn(|| queue.try_pop()).take(queued) {
+            self.admit(req, clock.now_ns());
+        }
+        self.flush(clock.now_ns());
+        true
     }
 
-    /// Flushes every tenant whose hold deadline has passed.
-    pub fn poll(&mut self, now_ns: u64) {
-        for slot in 0..self.batchers.len() {
-            if let Some(flush) = self.batchers[slot].poll(now_ns) {
-                self.execute(slot, flush);
+    /// Executes every pending partial batch: the end of a dispatch pass.
+    pub fn flush(&mut self, now_ns: u64) {
+        for slot in 0..self.pending.len() {
+            if !self.pending[slot].is_empty() {
+                self.execute(slot, now_ns);
             }
         }
     }
 
-    /// Unconditionally flushes everything held (graceful shutdown):
-    /// in-flight batches run to completion before the server exits.
-    pub fn drain(&mut self, now_ns: u64) {
-        for slot in 0..self.batchers.len() {
-            if let Some(flush) = self.batchers[slot].drain(now_ns) {
-                self.execute(slot, flush);
-            }
-        }
-    }
-
-    /// Requests currently held by batchers (not yet executed).
+    /// Requests admitted but not yet executed.
     pub fn pending(&self) -> usize {
-        self.batchers.iter().map(MicroBatcher::len).sum()
+        self.pending.iter().map(Vec::len).sum()
     }
 
-    fn execute(&mut self, slot: usize, flush: Flush<ForecastRequest>) {
-        for req in flush.expired {
+    /// Runs tenant `slot`'s pending batch. Requests whose deadline passed
+    /// by `now_ns` are answered 504 first, so the forward never spends
+    /// work on an answer nobody is waiting for.
+    fn execute(&mut self, slot: usize, now_ns: u64) {
+        let (expired, run): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending[slot])
+            .into_iter()
+            .partition(|r| r.deadline_ns.is_some_and(|d| d <= now_ns));
+        for req in expired {
             obs::tally_serve_expired();
             self.stats.expired += 1;
             req.responder.fulfil(Err(ServeError::DeadlineExceeded));
         }
-        if flush.run.is_empty() {
+        if run.is_empty() {
             return;
         }
-        obs::tally_serve_batch(flush.run.len() as u64);
-        self.stats.batches += 1;
-        self.stats.batched_requests += flush.run.len() as u64;
         let _span = obs::span("serve_batch");
-        self.registry.tenant_mut(slot).run_batch(flush.run);
+        let tenant = self.registry.tenant_mut(slot);
+        match panic::catch_unwind(AssertUnwindSafe(|| tenant.run_batch(&run))) {
+            Ok(forecasts) => {
+                obs::tally_serve_batch(run.len() as u64);
+                self.stats.batches += 1;
+                self.stats.batched_requests += run.len() as u64;
+                for (req, fc) in run.into_iter().zip(forecasts) {
+                    req.responder.fulfil(Ok(fc));
+                }
+            }
+            Err(_) => {
+                // The unwind may have left the tenant's model caches or
+                // slab half-written; stop serving it rather than risk a
+                // wrong answer.
+                self.quarantined[slot] = true;
+                for req in run {
+                    obs::tally_serve_failed();
+                    self.stats.failed += 1;
+                    req.responder.fulfil(Err(ServeError::Internal));
+                }
+            }
+        }
     }
 }
 
@@ -577,7 +649,7 @@ impl Dispatcher {
 /// high-water input) or shed. On failure the responder is consumed with
 /// the matching error, so the caller keeps only the handle.
 pub fn admit_to_queue(
-    queue: &crate::queue::Bounded<ForecastRequest>,
+    queue: &Bounded<ForecastRequest>,
     req: ForecastRequest,
 ) -> Result<usize, ServeError> {
     match queue.push(req) {
@@ -585,12 +657,12 @@ pub fn admit_to_queue(
             obs::tally_serve_admitted(depth as u64);
             Ok(depth)
         }
-        Err(crate::queue::PushError::Full(req)) => {
+        Err(PushError::Full(req)) => {
             obs::tally_serve_shed();
             req.responder.fulfil(Err(ServeError::QueueFull));
             Err(ServeError::QueueFull)
         }
-        Err(crate::queue::PushError::Closed(req)) => {
+        Err(PushError::Closed(req)) => {
             req.responder.fulfil(Err(ServeError::ShuttingDown));
             Err(ServeError::ShuttingDown)
         }

@@ -2,13 +2,16 @@
 //!
 //! Pipeline (DESIGN.md §15): connection threads validate and push
 //! requests onto a bounded admission [`queue::Bounded`] (full ⇒ shed
-//! with 429, never block); one dedicated inference thread pops, holds
-//! them in per-tenant [`batcher::MicroBatcher`]s, and flushes each
-//! coalesced micro-batch — on batch-full or hold-deadline expiry — as a
-//! single batched no-grad planned forward through
-//! [`sagdfn_core::Sagdfn::predict_batch_into`]. Per-request deadlines
-//! are enforced *before* the forward runs (504); graceful shutdown
-//! closes admissions, drains every held batch, and answers every
+//! with 429, never block); one dedicated inference thread runs
+//! [`Dispatcher::pass`] after pass: it takes whatever is queued,
+//! coalesces it per tenant, and runs each micro-batch — when it fills,
+//! or at the end of the pass — as a single batched no-grad planned
+//! forward through [`sagdfn_core::Sagdfn::predict_batch_into`]. No
+//! timer holds a batch back: an idle server answers at once, and
+//! requests that arrive during a forward form the next batch.
+//! Per-request deadlines are enforced *before* the forward runs (504);
+//! a panicking forward answers its batch 500 and quarantines its tenant
+//! (503); graceful shutdown closes admissions and answers every
 //! admitted request.
 //!
 //! Correctness contract: a micro-batched response is **bit-identical**
@@ -19,20 +22,18 @@
 //! column `b` reads exactly the values a `B = 1` forward of request `b`
 //! reads, in the same order.
 
-pub mod batcher;
 pub mod clock;
 pub mod engine;
 pub mod http;
 pub mod queue;
 pub mod server;
 
-pub use batcher::{BatchItem, Flush, MicroBatcher};
 pub use clock::{Clock, MockClock, RealClock};
 pub use engine::{
     admit_to_queue, response_channel, DispatchStats, Dispatcher, Forecast, ForecastRequest,
     Registry, Responder, ResponseHandle, ServeError, Tenant, TenantMeta,
 };
-pub use queue::{Bounded, PopResult, PushError};
+pub use queue::{Bounded, PushError};
 pub use server::{ServeConfig, Server, ServerCore};
 
 #[cfg(test)]
@@ -80,34 +81,93 @@ mod tests {
         (req, handle)
     }
 
-    // -- Deterministic deadline semantics: all driven by a MockClock, --
-    // -- no real sleeps anywhere.                                     --
+    // -- Deterministic pass and deadline semantics: all driven by a   --
+    // -- MockClock, no real sleeps anywhere.                           --
 
     #[test]
-    fn hold_deadline_flushes_partial_batch() {
+    fn a_lone_request_executes_in_the_same_pass() {
         let clock = MockClock::new(0);
         let (tenant, payloads) = tiny_tenant("tiny");
         let mut registry = Registry::new();
         let slot = registry.add(tenant);
-        let mut disp = Dispatcher::new(registry, 8, 1_000_000);
+        let mut disp = Dispatcher::new(registry, 8);
+        let queue = Bounded::new(16);
 
         let (r0, h0) = request(slot, &payloads[0], None);
-        let (r1, h1) = request(slot, &payloads[1], None);
-        disp.admit(r0, clock.now_ns());
-        clock.advance(400_000);
-        disp.admit(r1, clock.now_ns());
-        assert_eq!(disp.stats.batches, 0, "partial batch must hold");
-        assert_eq!(disp.next_due(), Some(1_000_000), "anchored to the oldest request");
+        admit_to_queue(&queue, r0).expect("admitted");
+        assert!(disp.pass(&queue, &clock));
+        // No clock advance: the partial batch of one ran at pass end.
+        assert_eq!(clock.now_ns(), 0);
+        assert_eq!(disp.stats, DispatchStats { batches: 1, batched_requests: 1, ..Default::default() });
+        assert_eq!(disp.pending(), 0);
+        assert!(h0.try_take().expect("answered in the pass").is_ok());
+    }
 
-        clock.set(999_999);
-        disp.poll(clock.now_ns());
-        assert_eq!(disp.stats.batches, 0, "one ns before the hold deadline");
+    /// A clock whose first reading enqueues `arrivals`: requests that
+    /// reach the queue after a pass has begun, while it builds and runs
+    /// its batch.
+    struct ArrivingClock<'q> {
+        queue: &'q Bounded<ForecastRequest>,
+        arrivals: std::sync::Mutex<Vec<ForecastRequest>>,
+    }
 
-        clock.set(1_000_000);
-        disp.poll(clock.now_ns());
-        assert_eq!(disp.stats, DispatchStats { batches: 1, batched_requests: 2, expired: 0 });
-        assert!(h0.wait().is_ok());
-        assert!(h1.wait().is_ok());
+    impl Clock for ArrivingClock<'_> {
+        fn now_ns(&self) -> u64 {
+            for r in self.arrivals.lock().expect("test clock").drain(..) {
+                admit_to_queue(self.queue, r).expect("admitted");
+            }
+            0
+        }
+    }
+
+    #[test]
+    fn requests_arriving_during_a_pass_form_the_next_batch() {
+        let (tenant, payloads) = tiny_tenant("tiny");
+        let mut registry = Registry::new();
+        let slot = registry.add(tenant);
+        let mut disp = Dispatcher::new(registry, 8);
+        let queue = Bounded::new(16);
+        let (r0, h0) = request(slot, &payloads[0], None);
+        admit_to_queue(&queue, r0).expect("admitted");
+        let (arrivals, handles): (Vec<_>, Vec<_>) =
+            payloads[1..4].iter().map(|p| request(slot, p, None)).unzip();
+        let clock = ArrivingClock { queue: &queue, arrivals: std::sync::Mutex::new(arrivals) };
+
+        // The pass began with one queued request, so it runs that one
+        // alone although three more arrived before its forward.
+        assert!(disp.pass(&queue, &clock));
+        assert_eq!(disp.stats, DispatchStats { batches: 1, batched_requests: 1, ..Default::default() });
+        assert!(h0.try_take().expect("answered in its pass").is_ok());
+        assert_eq!(queue.len(), 3);
+        // The arrivals form the next batch, together.
+        assert!(disp.pass(&queue, &clock));
+        assert_eq!(disp.stats, DispatchStats { batches: 2, batched_requests: 4, ..Default::default() });
+        for h in handles {
+            assert!(h.try_take().expect("answered in the second pass").is_ok());
+        }
+    }
+
+    #[test]
+    fn a_full_batch_runs_inside_the_pass_and_the_rest_flushes_at_its_end() {
+        let clock = MockClock::new(0);
+        let (tenant, payloads) = tiny_tenant("tiny");
+        let mut registry = Registry::new();
+        let slot = registry.add(tenant);
+        let mut disp = Dispatcher::new(registry, 2);
+        let queue = Bounded::new(16);
+        let handles: Vec<ResponseHandle> = payloads[..3]
+            .iter()
+            .map(|p| {
+                let (r, h) = request(slot, p, None);
+                admit_to_queue(&queue, r).expect("admitted");
+                h
+            })
+            .collect();
+        assert!(disp.pass(&queue, &clock));
+        assert_eq!(disp.stats, DispatchStats { batches: 2, batched_requests: 3, ..Default::default() });
+        for h in handles {
+            assert!(h.try_take().expect("answered").is_ok());
+        }
     }
 
     #[test]
@@ -116,21 +176,36 @@ mod tests {
         let (tenant, payloads) = tiny_tenant("tiny");
         let mut registry = Registry::new();
         let slot = registry.add(tenant);
-        let mut disp = Dispatcher::new(registry, 8, 1_000);
+        let mut disp = Dispatcher::new(registry, 8);
 
-        // One request that will expire while held, one that survives.
-        let (dead, dead_h) = request(slot, &payloads[0], Some(500));
-        let (live, live_h) = request(slot, &payloads[1], None);
-        disp.admit(dead, clock.now_ns());
-        disp.admit(live, clock.now_ns());
-        clock.set(1_000); // past both the request deadline and the hold
-        disp.poll(clock.now_ns());
+        // Flushed at t = 1000: a deadline before or exactly at the flush
+        // time answers 504, a later one (or none) runs, in arrival order.
+        let deadlines = [Some(500), Some(1_000), Some(1_001), None];
+        let (reqs, handles): (Vec<_>, Vec<_>) =
+            payloads[..4].iter().zip(deadlines).map(|(p, d)| request(slot, p, d)).unzip();
+        for r in reqs {
+            disp.admit(r, clock.now_ns());
+        }
+        clock.set(1_000);
+        disp.flush(clock.now_ns());
 
-        assert_eq!(dead_h.wait(), Err(ServeError::DeadlineExceeded));
-        assert!(live_h.wait().is_ok());
-        // The expired request never entered an executed batch: exactly
-        // one batch ran and it held exactly one request.
-        assert_eq!(disp.stats, DispatchStats { batches: 1, batched_requests: 1, expired: 1 });
+        let mut handles = handles.into_iter();
+        for _ in 0..2 {
+            assert_eq!(handles.next().expect("expired").wait(), Err(ServeError::DeadlineExceeded));
+        }
+        // The survivors' answers are their own: each matches a solo run.
+        let (mut reference, _) = tiny_tenant("reference");
+        for (h, p) in handles.zip(&payloads[2..4]) {
+            let (solo, _solo_h) = request(0, p, None);
+            let want = reference.run_batch(std::slice::from_ref(&solo)).remove(0);
+            assert_eq!(h.wait().expect("survivor runs").values, want.values);
+        }
+        // The expired requests never entered an executed batch: exactly
+        // one batch ran and it held the two survivors.
+        assert_eq!(
+            disp.stats,
+            DispatchStats { batches: 1, batched_requests: 2, expired: 2, ..Default::default() }
+        );
     }
 
     #[test]
@@ -139,39 +214,40 @@ mod tests {
         let (tenant, payloads) = tiny_tenant("tiny");
         let mut registry = Registry::new();
         let slot = registry.add(tenant);
-        let mut disp = Dispatcher::new(registry, 8, 100);
+        let mut disp = Dispatcher::new(registry, 8);
 
         let (r, h) = request(slot, &payloads[0], Some(50));
         disp.admit(r, clock.now_ns());
         clock.set(10_000);
-        disp.poll(clock.now_ns());
+        disp.flush(clock.now_ns());
         assert_eq!(h.wait(), Err(ServeError::DeadlineExceeded));
-        assert_eq!(disp.stats, DispatchStats { batches: 0, batched_requests: 0, expired: 1 });
+        assert_eq!(disp.stats, DispatchStats { expired: 1, ..Default::default() });
     }
 
     #[test]
-    fn shutdown_drain_answers_everything_held() {
+    fn closed_queue_answers_everything_admitted_then_ends() {
         let clock = MockClock::new(0);
         let (tenant, payloads) = tiny_tenant("tiny");
         let mut registry = Registry::new();
         let slot = registry.add(tenant);
-        // Huge cap and hold: nothing would flush on its own.
-        let mut disp = Dispatcher::new(registry, 1_000, u64::MAX);
+        let mut disp = Dispatcher::new(registry, 1_000);
+        let queue = Bounded::new(16);
 
         let handles: Vec<ResponseHandle> = payloads[..3]
             .iter()
             .map(|p| {
                 let (r, h) = request(slot, p, None);
-                disp.admit(r, clock.now_ns());
+                admit_to_queue(&queue, r).expect("admitted");
                 h
             })
             .collect();
-        assert_eq!(disp.pending(), 3);
-        disp.drain(clock.now_ns());
+        queue.close();
+        assert!(disp.pass(&queue, &clock));
+        assert!(!disp.pass(&queue, &clock), "closed and drained ends the loop");
         assert_eq!(disp.pending(), 0);
-        assert_eq!(disp.stats, DispatchStats { batches: 1, batched_requests: 3, expired: 0 });
+        assert_eq!(disp.stats, DispatchStats { batches: 1, batched_requests: 3, ..Default::default() });
         for h in handles {
-            assert!(h.wait().is_ok(), "drained requests must still be answered");
+            assert!(h.wait().is_ok(), "admitted requests must still be answered");
         }
     }
 
@@ -188,11 +264,7 @@ mod tests {
     fn http_round_trip_and_graceful_shutdown() {
         use std::io::{BufRead, BufReader, Read, Write};
 
-        let cfg = ServeConfig {
-            max_batch: 4,
-            hold_ns: 500_000,
-            ..ServeConfig::default()
-        };
+        let cfg = ServeConfig { max_batch: 4, ..ServeConfig::default() };
         let server = Server::start(cfg, || {
             let (tenant, _) = tiny_tenant("tiny");
             let mut registry = Registry::new();
@@ -294,11 +366,11 @@ mod tests {
         let tenant = Tenant::new("q", model, split.scaler, h, f, interval, smow);
         let mut registry = Registry::new();
         let slot = registry.add(tenant);
-        let mut disp = Dispatcher::new(registry, 4, u64::MAX);
+        let mut disp = Dispatcher::new(registry, 4);
 
         let (r, handle) = request(slot, &payload, None);
         disp.admit(r, 0);
-        disp.drain(0);
+        disp.flush(0);
         let fc = handle.wait().expect("forecast");
         assert_eq!(fc.levels, vec![0.1, 0.25, 0.5, 0.75, 0.9]);
         let q = fc.levels.len();
@@ -319,7 +391,7 @@ mod tests {
     fn server_core_sheds_when_the_queue_is_full() {
         // A registry-building closure that blocks dispatch long enough
         // is unnecessary: submit against a 1-slot queue while the
-        // inference thread is parked on an empty batcher is racy, so
+        // inference thread is parked on an empty queue is racy, so
         // instead drive the queue + admission path directly.
         let q: Bounded<ForecastRequest> = Bounded::new(1);
         let (tenant, payloads) = tiny_tenant("tiny");
@@ -335,7 +407,7 @@ mod tests {
 
         // Drain the queued request through a dispatcher so its
         // responder resolves too.
-        let mut disp = Dispatcher::new(registry, 1, 0);
+        let mut disp = Dispatcher::new(registry, 1);
         if let Some(r) = q.try_pop() {
             disp.admit(r, 0);
         }
@@ -344,7 +416,7 @@ mod tests {
 
     #[test]
     fn server_core_submit_validates_and_answers() {
-        let cfg = ServeConfig { max_batch: 2, hold_ns: 200_000, ..ServeConfig::default() };
+        let cfg = ServeConfig { max_batch: 2, ..ServeConfig::default() };
         let core = ServerCore::start(&cfg, || {
             let (tenant, _) = tiny_tenant("tiny");
             let mut registry = Registry::new();

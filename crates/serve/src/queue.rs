@@ -8,13 +8,12 @@
 //! queued requests is bounded.
 //!
 //! Shutdown semantics: [`Bounded::close`] stops new pushes but lets
-//! consumers drain what was already admitted — [`PopResult::Closed`] is
-//! only returned once the queue is both closed *and* empty, so no
-//! admitted request is ever dropped on the floor.
+//! consumers drain what was already admitted — [`Bounded::pop`] returns
+//! `None` only once the queue is both closed *and* empty, so no admitted
+//! request is ever dropped on the floor.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 /// Why a push was refused; the rejected item is handed back so the
 /// caller can answer its client.
@@ -24,17 +23,6 @@ pub enum PushError<T> {
     Full(T),
     /// The queue is closed for new work (shutdown: HTTP 503).
     Closed(T),
-}
-
-/// Outcome of a timed pop.
-#[derive(Debug, PartialEq, Eq)]
-pub enum PopResult<T> {
-    /// An item was dequeued.
-    Item(T),
-    /// The wait elapsed with the queue still empty.
-    TimedOut,
-    /// The queue is closed and fully drained.
-    Closed,
 }
 
 struct State<T> {
@@ -89,32 +77,24 @@ impl<T> Bounded<T> {
         s.items.pop_front()
     }
 
-    /// Blocks up to `wait` for an item. Returns [`PopResult::Closed`]
-    /// only once the queue is closed *and* drained.
-    pub fn pop_timeout(&self, wait: Duration) -> PopResult<T> {
+    /// Blocks until an item arrives or the queue is closed. Returns
+    /// `None` only once the queue is closed *and* drained.
+    pub fn pop(&self) -> Option<T> {
         let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let deadline = std::time::Instant::now() + wait;
         loop {
             if let Some(item) = s.items.pop_front() {
-                return PopResult::Item(item);
+                return Some(item);
             }
             if s.closed {
-                return PopResult::Closed;
+                return None;
             }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return PopResult::TimedOut;
-            }
-            let (guard, _timeout) = self
-                .available
-                .wait_timeout(s, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            s = guard;
+            s = self.available.wait(s).unwrap_or_else(|e| e.into_inner());
         }
     }
 
     /// Stops new admissions and wakes the consumer; queued items remain
-    /// poppable (drain-then-`Closed`).
+    /// poppable, and `pop` returns `None` once the queue is closed and
+    /// empty.
     pub fn close(&self) {
         let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
         s.closed = true;
@@ -142,6 +122,7 @@ impl<T> Bounded<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn fifo_and_depth_reporting() {
@@ -179,27 +160,33 @@ mod tests {
         q.push(2).unwrap();
         q.close();
         assert!(matches!(q.push(3), Err(PushError::Closed(3))));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), PopResult::Item(1));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), PopResult::Item(2));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), PopResult::<i32>::Closed);
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn pop_timeout_times_out_when_empty() {
-        let q: Bounded<u8> = Bounded::new(1);
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), PopResult::TimedOut);
+    fn close_wakes_a_blocked_pop() {
+        let q: Arc<Bounded<u8>> = Arc::new(Bounded::new(1));
+        let q2 = Arc::clone(&q);
+        let popper = std::thread::spawn(move || q2.pop());
+        // The popper may or may not be waiting yet; either way close
+        // must end its pop with `None`.
+        std::thread::sleep(Duration::from_millis(5));
+        q.close();
+        assert_eq!(popper.join().unwrap(), None);
     }
 
     #[test]
     fn pop_wakes_on_push_from_another_thread() {
         let q = Arc::new(Bounded::new(1));
         let q2 = Arc::clone(&q);
-        let popper = std::thread::spawn(move || q2.pop_timeout(Duration::from_secs(10)));
+        let popper = std::thread::spawn(move || q2.pop());
         // The popper may or may not be waiting yet; either way the item
-        // must be delivered well before the 10 s timeout.
+        // must be delivered.
         std::thread::sleep(Duration::from_millis(5));
         q.push(7u8).unwrap();
-        assert_eq!(popper.join().unwrap(), PopResult::Item(7));
+        assert_eq!(popper.join().unwrap(), Some(7));
     }
 
     /// Loom-style interleaving stress: many producers race a draining
@@ -217,13 +204,9 @@ mod tests {
         let consumer = {
             let q = Arc::clone(&q);
             let consumed = Arc::clone(&consumed);
-            std::thread::spawn(move || loop {
-                match q.pop_timeout(Duration::from_secs(10)) {
-                    PopResult::Item(v) => {
-                        consumed.lock().unwrap().push(v);
-                    }
-                    PopResult::Closed => break,
-                    PopResult::TimedOut => panic!("consumer starved"),
+            std::thread::spawn(move || {
+                while let Some(v) = q.pop() {
+                    consumed.lock().unwrap().push(v);
                 }
             })
         };
@@ -274,11 +257,9 @@ mod tests {
         let consumer = {
             let q = Arc::clone(&q);
             let consumed = Arc::clone(&consumed);
-            std::thread::spawn(move || loop {
-                match q.pop_timeout(Duration::from_secs(10)) {
-                    PopResult::Item(v) => consumed.lock().unwrap().push(v),
-                    PopResult::Closed => break,
-                    PopResult::TimedOut => panic!("consumer starved"),
+            std::thread::spawn(move || {
+                while let Some(v) = q.pop() {
+                    consumed.lock().unwrap().push(v);
                 }
             })
         };

@@ -16,7 +16,7 @@ use crate::engine::{
     ResponseHandle, ServeError, TenantMeta,
 };
 use crate::http;
-use crate::queue::{Bounded, PopResult};
+use crate::queue::Bounded;
 use sagdfn_json::Json;
 use sagdfn_obs as obs;
 use std::fmt::Write as _;
@@ -24,18 +24,15 @@ use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
 
 /// Tunables for one server instance.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:7878`; port 0 for an ephemeral port).
     pub addr: String,
-    /// Micro-batch flush size.
+    /// Micro-batch cap: a tenant's batch runs once it holds this many
+    /// requests, or at the end of the dispatch pass, whichever is first.
     pub max_batch: usize,
-    /// Hold deadline: a partial batch flushes once its oldest request
-    /// has waited this long.
-    pub hold_ns: u64,
     /// Admission queue capacity (shed with 429 beyond it).
     pub queue_cap: usize,
     /// Deadline applied to requests that do not carry their own
@@ -48,16 +45,11 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             max_batch: 32,
-            hold_ns: 2_000_000, // 2 ms
             queue_cap: 1024,
             default_deadline_ns: None,
         }
     }
 }
-
-/// How long the inference thread sleeps per wait when nothing is
-/// pending; shutdown latency is bounded by one pop timeout.
-const IDLE_WAIT: Duration = Duration::from_millis(25);
 
 struct CoreShared {
     queue: Bounded<ForecastRequest>,
@@ -89,7 +81,7 @@ impl ServerCore {
     {
         let queue = Bounded::new(cfg.queue_cap);
         let (ready_tx, ready_rx) = mpsc::channel::<()>();
-        let (max_batch, hold_ns) = (cfg.max_batch, cfg.hold_ns);
+        let max_batch = cfg.max_batch;
 
         let shared = Arc::new(CoreShared {
             queue,
@@ -104,7 +96,10 @@ impl ServerCore {
                 let registry = build();
                 let _ = thread_shared.meta.set(registry.metadata());
                 let _ = ready_tx.send(());
-                dispatch_loop(&thread_shared, registry, max_batch, hold_ns);
+                // One dispatch pass per wake-up until the queue is
+                // closed and drained.
+                let mut disp = Dispatcher::new(registry, max_batch);
+                while disp.pass(&thread_shared.queue, &thread_shared.clock) {}
             })
             .expect("spawn inference thread");
 
@@ -150,7 +145,7 @@ impl ServerCore {
     }
 
     /// Graceful shutdown: closes admissions, lets the inference thread
-    /// drain the queue and every held batch, then joins it.
+    /// answer everything still queued, then joins it.
     pub fn shutdown(mut self) {
         self.shared.queue.close();
         if let Some(j) = self.infer.take() {
@@ -166,41 +161,6 @@ impl Drop for ServerCore {
             let _ = j.join();
         }
     }
-}
-
-/// The inference thread's event loop: pop admitted requests, coalesce
-/// per tenant, flush on batch-full (inside `admit`) or hold expiry
-/// (`poll`), and on queue close drain everything before exiting.
-fn dispatch_loop(
-    shared: &CoreShared,
-    registry: Registry,
-    max_batch: usize,
-    hold_ns: u64,
-) {
-    let mut disp = Dispatcher::new(registry, max_batch, hold_ns);
-    loop {
-        let now = shared.clock.now_ns();
-        let wait = match disp.next_due() {
-            Some(due) => Duration::from_nanos(due.saturating_sub(now)),
-            None => IDLE_WAIT,
-        };
-        match shared.queue.pop_timeout(wait) {
-            PopResult::Item(req) => {
-                disp.admit(req, shared.clock.now_ns());
-                // Opportunistic drain: coalesce whatever else already
-                // queued up without paying another condvar wait.
-                while let Some(r) = shared.queue.try_pop() {
-                    disp.admit(r, shared.clock.now_ns());
-                }
-            }
-            PopResult::TimedOut => {}
-            PopResult::Closed => break,
-        }
-        disp.poll(shared.clock.now_ns());
-    }
-    // Closed implies drained-empty queue; flush what the batchers hold
-    // so every admitted request is answered before the thread exits.
-    disp.drain(shared.clock.now_ns());
 }
 
 // ---------------------------------------------------------------------------
@@ -262,8 +222,8 @@ impl Server {
         self.core.as_ref().expect("core present until shutdown")
     }
 
-    /// Graceful shutdown: stop accepting, close admissions, drain
-    /// held batches, join the pipeline. In-flight connections receive
+    /// Graceful shutdown: stop accepting, close admissions, answer
+    /// everything still queued, join the pipeline. In-flight connections receive
     /// their answers (or 503 once admissions are closed).
     pub fn shutdown(mut self) {
         self.stop_accepting();

@@ -218,6 +218,22 @@ impl Tensor {
         Tensor::from_vec(self.into_vec(), shape)
     }
 
+    /// Re-dimensions the tensor in place, keeping its buffer: the new
+    /// element count must fit the capacity the buffer was built with, so
+    /// no allocator acquire happens. Leading elements keep their values;
+    /// elements past the old length read zero.
+    pub fn redim(&mut self, shape: impl Into<Shape>) {
+        let shape = shape.into();
+        assert!(
+            shape.numel() <= self.data.capacity(),
+            "cannot redim to {shape} ({} elements) within a buffer of {}",
+            shape.numel(),
+            self.data.capacity()
+        );
+        self.data.resize(shape.numel(), 0.0);
+        self.shape = shape;
+    }
+
     /// True when all elements are finite (no NaN/±inf). Useful as a training
     /// invariant check.
     pub fn all_finite(&self) -> bool {
@@ -291,6 +307,23 @@ mod tests {
     #[should_panic(expected = "cannot reshape")]
     fn reshape_wrong_numel_panics() {
         Tensor::zeros([2, 3]).reshape([4, 2]);
+    }
+
+    #[test]
+    fn redim_reuses_the_buffer_within_its_capacity() {
+        let mut t = Tensor::from_vec((0..6).map(|x| x as f32).collect(), [3, 2]);
+        let ptr = t.as_slice().as_ptr();
+        t.redim([1, 2]);
+        assert_eq!((t.dims(), t.as_slice()), (&[1, 2][..], &[0.0, 1.0][..]));
+        t.redim([2, 3]);
+        assert_eq!(t.as_slice(), &[0.0, 1.0, 0.0, 0.0, 0.0, 0.0]);
+        assert_eq!(t.as_slice().as_ptr(), ptr, "no reallocation");
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot redim")]
+    fn redim_past_the_capacity_panics() {
+        Tensor::zeros([2, 3]).redim([7]);
     }
 
     #[test]

@@ -74,7 +74,9 @@ echo
 echo "== regression gates: each bench_* --check against its committed BENCH_*.json =="
 # Every baseline is committed, so a missing one fails here instead of
 # degrading to a smoke run. Each binary lists all of its gates (value,
-# limit, pass/FAIL) and exits 1 if any failed; the gates themselves live
+# limit, pass/FAIL) and exits 1 if any failed; every binary runs even
+# after one fails, and the loop fails at the end naming each failing
+# binary, so one red gate never hides another. The gates themselves live
 # in the binaries (crates/bench/src/bin/bench_*.rs), and each binary runs
 # at the fixed size its baseline was recorded with — on one worker thread,
 # as every baseline records: on a shared host a parallel arm's time
@@ -93,13 +95,23 @@ GATES=(
 )
 GATE_OUT="$(mktemp -d)"
 trap 'rm -rf "$GATE_OUT"' EXIT
+FAILED=()
 for row in "${GATES[@]}"; do
     read -r bin name <<< "$row"
     echo
     echo "-- $bin --check BENCH_$name.json"
-    SAGDFN_THREADS=1 cargo run --release -q -p sagdfn-bench --bin "$bin" -- \
-        --out "$GATE_OUT/$name.json" --check "BENCH_$name.json"
+    if SAGDFN_THREADS=1 cargo run --release -q -p sagdfn-bench --bin "$bin" -- \
+        --out "$GATE_OUT/$name.json" --check "BENCH_$name.json"; then
+        echo "-- $bin: pass"
+    else
+        echo "-- $bin: FAIL"
+        FAILED+=("$bin")
+    fi
 done
 
 echo
+if (( ${#FAILED[@]} > 0 )); then
+    echo "check.sh: regression gates failed: ${FAILED[*]}"
+    exit 1
+fi
 echo "check.sh: all green"

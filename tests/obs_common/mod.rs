@@ -193,9 +193,9 @@ pub fn run_all() {
 /// Scripted serving trace with exact counter assertions: the serve_*
 /// counters must match a hand-computed trace — 5 submissions into a
 /// capacity-3 queue (3 admitted, 2 shed, queue high-water 3), a cap-full
-/// flush of 2 plus a hold flush of 1 (occupancy histogram buckets
+/// batch of 2 plus a pass-end batch of 1 (occupancy histogram buckets
 /// `1` and `2-3` each incremented once), and one already-expired request
-/// partitioned out at drain time (1 expired, no extra batch).
+/// partitioned out at flush time (1 expired, no extra batch).
 ///
 /// Counters are process-global: call this sequentially after
 /// [`run_all`], never from a second `#[test]` in the same binary.
@@ -225,7 +225,7 @@ pub fn run_serve_trace() {
     let mut registry = Registry::new();
     registry.add(Tenant::new("metr".to_string(), model, split.scaler, h, f, interval, smow));
     let queue = Bounded::new(3);
-    let mut disp = Dispatcher::new(registry, 2, 1_000);
+    let mut disp = Dispatcher::new(registry, 2);
 
     let base = obs::snapshot();
 
@@ -239,30 +239,30 @@ pub fn run_serve_trace() {
         .collect();
     assert_eq!(handles.iter().filter(|(ok, _)| *ok).count(), 3, "admissions");
 
-    // Drain the queue into the dispatcher at t=0: the cap-2 batcher
-    // flushes once full (occupancy 2), holding the third request.
+    // Drain the queue into the dispatcher at t=0: the cap-2 batch runs
+    // once full (occupancy 2), leaving the third request pending.
     let mut now = 0u64;
     while let Some(req) = queue.try_pop() {
         disp.admit(req, now);
     }
-    // The hold deadline passes: the partial batch of 1 flushes.
+    // The pass ends: the partial batch of 1 runs.
     now = 1_000;
-    disp.poll(now);
+    disp.flush(now);
 
-    // One pre-expired request reaches the batcher; the flush partitions
+    // One pre-expired request reaches the dispatcher; the flush partitions
     // it out before the forward — expired, not batched.
     let (req, expired_handle) = request(Some(500));
     admit_to_queue(&queue, req).expect("queue drained above");
     let req = queue.try_pop().expect("just pushed");
     now = 2_000;
     disp.admit(req, now);
-    disp.drain(now);
+    disp.flush(now);
 
     let d = obs::snapshot().since(&base);
     assert_eq!(d.serve_admitted, 4, "admitted = 3 initial + 1 expired-path");
     assert_eq!(d.serve_shed, 2, "shed exactly when the queue was full");
     assert_eq!(d.serve_expired, 1, "expired partitioned at flush time");
-    assert_eq!(d.serve_batches, 2, "one cap-full flush + one hold flush");
+    assert_eq!(d.serve_batches, 2, "one cap-full batch + one pass-end batch");
     assert_eq!(d.serve_batched_requests, 3, "2 + 1 requests crossed the forward");
     assert!(d.serve_queue_hw >= 3, "queue high-water saw depth 3");
     let mut hist = [0u64; obs::SERVE_HIST_BUCKETS];

@@ -1,8 +1,9 @@
 //! The serving bit-exactness oracle: any interleaving of K forecast
 //! requests coalesced into micro-batches must return forecasts
 //! **bit-identical** to K independent unbatched eval forwards —
-//! across batch caps, tenant mixes, random flush points, and
-//! `SAGDFN_PLAN` / `SAGDFN_SIMD` modes.
+//! across batch caps, tenant mixes, random pass ends, and
+//! `SAGDFN_PLAN` / `SAGDFN_SIMD` modes. A forward that panics costs
+//! only its own tenant: the other tenants keep answering bit-exactly.
 //!
 //! Why this should hold (DESIGN.md §15): every kernel in the stack is
 //! row-independent with a fixed per-output accumulation order, the SIMD
@@ -19,7 +20,8 @@ use sagdfn_repro::data::{metr_la_like, Scale, SplitSpec, ThreeWaySplit};
 use sagdfn_repro::nn::Mode;
 use sagdfn_repro::sagdfn::{set_plan_mode, PlanMode, Sagdfn, SagdfnConfig};
 use sagdfn_repro::serve::{
-    response_channel, Dispatcher, ForecastRequest, Registry, ResponseHandle, Tenant,
+    response_channel, Bounded, DispatchStats, Dispatcher, ForecastRequest, MockClock, Registry,
+    ResponseHandle, ServeError, Tenant,
 };
 use sagdfn_repro::tensor::{set_simd_mode, SimdMode};
 use std::sync::Mutex;
@@ -116,6 +118,20 @@ fn make_request(world: &World, tenant: usize, pid: usize) -> (ForecastRequest, R
     (req, handle)
 }
 
+/// The bitwise mismatch between a served forecast and its reference, if
+/// any.
+fn diverged(world: &World, tenant: usize, pid: usize, values: &[f32]) -> Option<String> {
+    let want = &world.references[tenant][pid];
+    (values != want.as_slice()).then(|| {
+        let at = values
+            .iter()
+            .zip(want)
+            .position(|(a, b)| a.to_bits() != b.to_bits())
+            .unwrap_or(usize::MAX);
+        format!("request ({tenant},{pid}) diverged from the unbatched forward at element {at}")
+    })
+}
+
 /// Replays one interleaving through a dispatcher and checks every
 /// response bitwise against its reference.
 fn check_interleaving(
@@ -123,23 +139,21 @@ fn check_interleaving(
     cap: usize,
     schedule: &[(usize, usize, bool)],
 ) -> Result<(), String> {
-    const HOLD: u64 = 1_000;
     let registry = std::mem::take(&mut world.registry);
-    let mut disp = Dispatcher::new(registry, cap, HOLD);
+    let mut disp = Dispatcher::new(registry, cap);
     let mut now = 0u64;
     let mut handles = Vec::new();
-    for &(tenant, pid, force_flush) in schedule {
+    for &(tenant, pid, end_pass) in schedule {
         let (req, handle) = make_request(world, tenant, pid);
         disp.admit(req, now);
         handles.push((tenant, pid, handle));
         now += 1;
-        if force_flush {
-            // Jump past every hold deadline: flush-by-hold mid-stream.
-            now += HOLD;
-            disp.poll(now);
+        if end_pass {
+            // The dispatch pass ends here: every partial batch runs.
+            disp.flush(now);
         }
     }
-    disp.drain(now);
+    disp.flush(now);
     let total = schedule.len() as u64;
     if disp.stats.batched_requests != total {
         return Err(format!(
@@ -152,18 +166,8 @@ fn check_interleaving(
             .try_take()
             .ok_or_else(|| format!("request ({tenant},{pid}) unanswered"))?
             .map_err(|e| format!("request ({tenant},{pid}) failed: {e:?}"))?;
-        let want = &world.references[tenant][pid];
-        if &fc.values != want {
-            let diverged = fc
-                .values
-                .iter()
-                .zip(want)
-                .position(|(a, b)| a.to_bits() != b.to_bits())
-                .unwrap_or(usize::MAX);
-            return Err(format!(
-                "request ({tenant},{pid}) diverged from the unbatched forward at element \
-                 {diverged} (cap {cap})"
-            ));
+        if let Some(e) = diverged(world, tenant, pid, &fc.values) {
+            return Err(format!("{e} (cap {cap})"));
         }
     }
     world.registry = disp.into_registry();
@@ -181,8 +185,8 @@ proptest! {
         cap in 1usize..6,
         raw_picks in prop::collection::vec((0usize..2, 0usize..POOL, 0usize..4), 1..11),
     ) {
-        // The third draw forces a hold-deadline flush after that admit
-        // (~1 in 4), interleaving partial flushes with cap-full ones.
+        // The third draw ends the dispatch pass after that admit (~1 in
+        // 4), interleaving partial batches with cap-full ones.
         let picks: Vec<(usize, usize, bool)> =
             raw_picks.into_iter().map(|(t, p, flip)| (t, p, flip == 0)).collect();
         let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -208,7 +212,7 @@ proptest! {
     }
 }
 
-/// Degenerate case: a single request through the widest batcher equals
+/// Degenerate case: a single request under the widest batch cap equals
 /// its unbatched forward.
 #[test]
 fn single_request_degenerate_case() {
@@ -222,17 +226,63 @@ fn single_request_degenerate_case() {
     result.expect("single request must match its unbatched forward");
 }
 
-/// Degenerate case: polling and draining an empty pipeline executes
-/// nothing (the empty flush never reaches the forward pass).
+/// Degenerate case: flushing an empty pipeline, or a pass over a closed
+/// empty queue, executes nothing (the empty flush never reaches the
+/// forward pass).
 #[test]
 fn empty_flush_degenerate_case() {
     let world = build_world(1);
-    let mut disp = Dispatcher::new(world.registry, 4, 100);
-    disp.poll(u64::MAX);
-    disp.drain(u64::MAX);
-    assert_eq!(disp.stats.batches, 0);
-    assert_eq!(disp.stats.batched_requests, 0);
-    assert_eq!(disp.next_due(), None);
+    let mut disp = Dispatcher::new(world.registry, 4);
+    disp.flush(u64::MAX);
+    let queue: Bounded<ForecastRequest> = Bounded::new(1);
+    queue.close();
+    assert!(!disp.pass(&queue, &MockClock::new(0)));
+    assert_eq!(disp.stats, DispatchStats::default());
+    assert_eq!(disp.pending(), 0);
+}
+
+/// A forward that panics answers its batch 500 and quarantines its
+/// tenant (503 from then on), while the other tenant keeps answering
+/// bit-identically. The panic needs no test seam: a history of the wrong
+/// length, which admission would have refused, is pushed straight into
+/// the dispatcher.
+#[test]
+fn a_panicking_forward_quarantines_only_its_tenant() {
+    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut world = build_world(2);
+    let registry = std::mem::take(&mut world.registry);
+    let mut disp = Dispatcher::new(registry, 4);
+
+    let (mut bad, bad_h) = make_request(&world, 0, 0);
+    bad.history.truncate(3);
+    let (healthy, healthy_h) = make_request(&world, 1, 0);
+    disp.admit(bad, 0);
+    disp.admit(healthy, 0);
+    disp.flush(0);
+    assert_eq!(bad_h.try_take().expect("answered"), Err(ServeError::Internal));
+    let fc = healthy_h.try_take().expect("answered").expect("forecast");
+    assert_eq!(diverged(&world, 1, 0, &fc.values), None);
+
+    let (again, again_h) = make_request(&world, 0, 1);
+    disp.admit(again, 1);
+    assert_eq!(
+        again_h.try_take().expect("answered at admission"),
+        Err(ServeError::Quarantined("tenant0".into()))
+    );
+    let handles: Vec<_> = (0..POOL)
+        .map(|pid| {
+            let (req, h) = make_request(&world, 1, pid);
+            disp.admit(req, 2);
+            (pid, h)
+        })
+        .collect();
+    disp.flush(2);
+    for (pid, h) in handles {
+        let fc = h.try_take().expect("answered").expect("forecast");
+        assert_eq!(diverged(&world, 1, pid, &fc.values), None);
+    }
+    assert_eq!((disp.stats.failed, disp.stats.quarantined), (1, 1));
+    assert_eq!(disp.stats.batched_requests, 1 + POOL as u64);
 }
 
 /// Batch-size sweep on one fixed request set: every cap from 1 to the

@@ -22,7 +22,7 @@ const H: usize = 4;
 const F: usize = 4;
 const ROUND_TRIPS: usize = 20;
 /// Well under the ~40 ms delayed-ACK stall, well over a Tiny forward
-/// plus a 0.5 ms hold in the debug profile.
+/// in the debug profile.
 const MEDIAN_BUDGET: Duration = Duration::from_millis(25);
 
 fn tiny_registry() -> Registry {
@@ -91,8 +91,7 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> (u16, String) {
 
 #[test]
 fn keep_alive_round_trips_skip_the_delayed_ack_stall_and_stay_bit_exact() {
-    let cfg = ServeConfig { hold_ns: 500_000, ..ServeConfig::default() };
-    let server = Server::start(cfg, tiny_registry).expect("bind loopback");
+    let server = Server::start(ServeConfig::default(), tiny_registry).expect("bind loopback");
     let payloads = payloads(ROUND_TRIPS);
 
     let stream = TcpStream::connect(server.addr()).expect("connect");
@@ -152,8 +151,7 @@ fn covariates_repeat_weekly_past_the_u32_minute_range() {
     // where 32-bit minute arithmetic wraps onto the wrong time of day.
     const WEEK_STEPS: u64 = 7 * 24 * 60 / 5;
     const WEEKS: u64 = 426_089;
-    let cfg = ServeConfig { hold_ns: 500_000, ..ServeConfig::default() };
-    let server = Server::start(cfg, tiny_registry).expect("bind loopback");
+    let server = Server::start(ServeConfig::default(), tiny_registry).expect("bind loopback");
     let stream = TcpStream::connect(server.addr()).expect("connect");
     let mut writer = stream.try_clone().expect("clone stream");
     let mut reader = BufReader::new(stream);
@@ -175,8 +173,7 @@ fn covariates_repeat_weekly_past_the_u32_minute_range() {
 
 #[test]
 fn out_of_range_start_and_non_finite_history_answer_400_and_the_tenant_keeps_serving() {
-    let cfg = ServeConfig { hold_ns: 500_000, ..ServeConfig::default() };
-    let server = Server::start(cfg, tiny_registry).expect("bind loopback");
+    let server = Server::start(ServeConfig::default(), tiny_registry).expect("bind loopback");
     let (start, history) = payloads(1).remove(0);
     let values: Vec<String> = history.iter().map(|v| format!("{v:?}")).collect();
     let stream = TcpStream::connect(server.addr()).expect("connect");
