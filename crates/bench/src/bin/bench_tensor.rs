@@ -4,19 +4,20 @@
 //!
 //! The pooled and serial arms of one case race each other, then the
 //! serial SIMD and forced-scalar arms ([`gate::race`]), so no arm pays
-//! the page-fault and cache-warmup cost of going first. (The old pooled-then-serial ordering charged that
-//! cost to the pooled arm, which read as a phantom pooled regression at
-//! `threads=1` where both arms run identical code.)
+//! the page-fault and cache-warmup cost of going first.
 //!
 //! Usage: `bench_tensor [--out FILE] [--check BASELINE]`
 //!
-//! With `--check`, two gates guard the SIMD win (exit nonzero on
-//! failure): `matmul_512`'s single-thread SIMD speedup must clear the
-//! per-tier floor (3.0× on avx512, 1.5× on avx2, 1.2× on neon; skipped
-//! on scalar-only hosts) and stay within 25 % of the recorded baseline,
-//! and at `threads=1` the pooled arm must stay within noise (≥ 0.85×) of
-//! the serial arm for every case — `scripts/check.sh` runs this as the
-//! tensor regression guard.
+//! With `--check` (exit nonzero on failure), each GEMM case in
+//! [`SIMD_FLOORS`] — `matmul_512` and three of training's narrow shapes,
+//! whose column and row remainders run the masked edge tiles — must
+//! keep its single-thread SIMD-over-scalar speedup above its tier's
+//! floor and within 25 % of a baseline recorded on the same tier
+//! (skipped on tiers without a floor). At `threads=1` the pooled arm
+//! must open no pool region: pooled and serial then run the same code,
+//! which the obs counter shows exactly, so their timed ratio is only
+//! host noise and is recorded ungated. `scripts/check.sh` runs this as
+//! the tensor regression guard.
 
 use sagdfn_bench::gate::{self, Gate};
 use sagdfn_entmax::entmax_rows;
@@ -27,6 +28,18 @@ use std::hint::black_box;
 
 /// Timed rounds per case.
 const REPS: usize = 20;
+
+/// Per-tier floors `(avx512, avx2, neon)` on the SIMD-over-scalar
+/// speedup of the gated GEMM cases. The narrow shapes gate only the x86
+/// tiers, whose edges run masked tiles (NEON's edges stay scalar), at
+/// levels the scalar-edge kernels with a packed `matmul_tn` did not
+/// reach: 1.5× / 6.0× / 1.5× on avx512 and 2.4× / 6.1× / 1.3× on avx2.
+const SIMD_FLOORS: [(&str, [Option<f64>; 3]); 4] = [
+    ("matmul_512", [Some(3.0), Some(1.5), Some(1.2)]),
+    ("matmul_tn_64000x64x16", [Some(6.0), Some(4.0), None]),
+    ("matmul_nt_4000x32x35", [Some(8.0), Some(7.0), None]),
+    ("matmul_2000x32x35", [Some(2.0), Some(1.7), None]),
+];
 
 fn rand(shape: &[usize], seed: u64) -> Tensor {
     let mut rng = Rng64::new(seed);
@@ -49,21 +62,19 @@ struct Case {
     simd_serial_s: f64,
     scalar_serial_s: f64,
     flops: u64,
+    /// Pool regions one pooled run opens.
+    pool_regions: u64,
 }
 
 impl Case {
     fn measure(name: &'static str, f: impl Fn()) -> Case {
-        // One counted run gives the flops column (and faults in the
-        // output pages before anything is timed).
+        // One counted pooled run gives the flops and pool-region columns
+        // (and faults in the output pages before anything is timed).
         let prev_trace = obs::set_trace_mode(obs::TraceMode::Counters);
         let base = obs::snapshot();
         f();
-        let flops: u64 = obs::snapshot()
-            .since(&base)
-            .kernels
-            .iter()
-            .map(|k| k.flops)
-            .sum();
+        let counted = obs::snapshot().since(&base);
+        let flops: u64 = counted.kernels.iter().map(|k| k.flops).sum();
         obs::set_trace_mode(prev_trace);
 
         // Two pairs, each racing alone (see `gate::race`): pooled vs
@@ -82,6 +93,7 @@ impl Case {
             simd_serial_s: simd_race[0],
             scalar_serial_s: simd_race[1],
             flops,
+            pool_regions: counted.pool_regions,
         }
     }
 
@@ -110,6 +122,7 @@ impl Case {
             ("speedup", Json::from(self.speedup())),
             ("simd_speedup", Json::from(self.simd_speedup())),
             ("gflops", Json::from(self.gflops())),
+            ("pool_regions", Json::from(self.pool_regions)),
         ])
     }
 }
@@ -126,6 +139,12 @@ fn main() {
     let m512 = (rand(&[512, 512], 1), rand(&[512, 512], 2));
     let m256 = (rand(&[256, 256], 3), rand(&[256, 256], 4));
     let batched = (rand(&[16, 64, 64], 5), rand(&[16, 64, 64], 6));
+    // Training's narrow GEMMs at N = 2000, B = 2 (Small preset): the SSMA
+    // first-layer weight gradient over the (N·M, 64) pair table, a gate
+    // linear's input gradient, and a diffusion product with c = 35.
+    let tn_pairs = (rand(&[64000, 64], 12), rand(&[64000, 16], 13));
+    let nt_gate = (rand(&[4000, 32], 14), rand(&[35, 32], 15));
+    let mm_diffuse = (rand(&[2000, 32], 16), rand(&[32, 35], 17));
     let wide = (rand(&[4096, 2048], 7), rand(&[4096, 2048], 8));
     let reduce_in = rand(&[4_000_000], 9);
     let trans_in = rand(&[1024, 1024], 10);
@@ -146,6 +165,15 @@ fn main() {
         }),
         Case::measure("batched_matmul_16x64", || {
             black_box(batched.0.matmul(&batched.1));
+        }),
+        Case::measure("matmul_tn_64000x64x16", || {
+            black_box(tn_pairs.0.matmul_tn(&tn_pairs.1));
+        }),
+        Case::measure("matmul_nt_4000x32x35", || {
+            black_box(nt_gate.0.matmul_nt(&nt_gate.1));
+        }),
+        Case::measure("matmul_2000x32x35", || {
+            black_box(mm_diffuse.0.matmul(&mm_diffuse.1));
         }),
         Case::measure("elementwise_add_4096x2048", || {
             black_box(wide.0.add(&wide.1));
@@ -197,37 +225,44 @@ fn main() {
         ),
     ]);
     args.finish(doc, |base| {
-        let mut gates = Vec::new();
-        // The SIMD matmul win must hold absolutely per tier and not
+        // Each gated GEMM's SIMD win must hold absolutely per tier and not
         // regress more than 25% against a baseline recorded on the same
-        // tier. Scalar-only hosts have nothing to compare, so they skip it.
+        // tier. Tiers without a floor have nothing to compare.
         let tier = simd_tier();
-        let tier_floor = match tier {
-            SimdTier::Avx512 => Some(3.0),
-            SimdTier::Avx2 => Some(1.5),
-            SimdTier::Neon => Some(1.2),
-            SimdTier::Scalar => None,
-        };
-        if let Some(tier_floor) = tier_floor {
-            let matmul = cases.iter().find(|c| c.name == "matmul_512").expect("case");
-            let floor = if base.at("simd_tier").as_str() == Ok(tier.name()) {
-                (base.f64("cases.name=matmul_512.simd_speedup") * 0.75).max(tier_floor)
+        let same_tier = base.at("simd_tier").as_str() == Ok(tier.name());
+        let mut gates = Vec::new();
+        for (name, floors) in SIMD_FLOORS {
+            let tier_floor = match tier {
+                SimdTier::Avx512 => floors[0],
+                SimdTier::Avx2 => floors[1],
+                SimdTier::Neon => floors[2],
+                SimdTier::Scalar => None,
+            };
+            let Some(tier_floor) = tier_floor else {
+                println!("  {name}: no SIMD speedup floor on {}", tier.name());
+                continue;
+            };
+            let case = cases.iter().find(|c| c.name == name).expect("gated case");
+            let floor = if same_tier {
+                (base.f64(&format!("cases.name={name}.simd_speedup")) * 0.75).max(tier_floor)
             } else {
                 tier_floor
             };
             gates.push(Gate::at_least(
-                format!("matmul_512 simd speedup on {}", tier.name()),
-                matmul.simd_speedup(),
+                format!("{name} simd speedup on {}", tier.name()),
+                case.simd_speedup(),
                 floor,
             ));
-        } else {
-            println!("  scalar-only host: SIMD speedup gate skipped");
         }
-        // At threads=1 the pooled and serial arms run identical code, so
-        // pooled must sit within measurement noise of serial.
+        // At threads=1 the pooled arm must take the serial path: no case
+        // may fan out to the pool.
         if pool::num_threads() == 1 {
             gates.extend(cases.iter().map(|c| {
-                Gate::at_least(format!("{} pooled/serial at threads=1", c.name), c.speedup(), 0.85)
+                Gate::at_most(
+                    format!("{} pool regions at threads=1", c.name),
+                    c.pool_regions as f64,
+                    0.0,
+                )
             }));
         }
         gates

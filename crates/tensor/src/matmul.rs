@@ -9,14 +9,16 @@
 //! spawning — and each chunk runs the identical single-thread kernel, so
 //! parallel results are bit-identical to serial ones.
 //!
-//! `matmul_nt` / `matmul_tn` keep their transpose-free strided kernels
-//! for small products, but once a product is large enough
-//! ([`PACK_MIN_FLOPS`]) they *pack* the transposed operand into a
-//! scratch buffer (a plain blocked transpose, invisible to the obs
-//! counters and the allocator's live/peak audit) and run the same
-//! blocked GEMM — contiguous vector loads instead of strided ones. The
-//! packed path is bit-identical to the strided one because both perform
-//! the scalar kernel's 4-wide k-group accumulation per output element.
+//! `matmul_tn` runs the blocked kernel on `A` in place: the kernel only
+//! broadcasts `A` elements, so it reads `Aᵀ` by strides (stride 1 along
+//! output rows, `m` along k) with no transpose. `matmul_nt` keeps its
+//! transpose-free dot-product kernel for small products, but once a
+//! product is large enough ([`PACK_MIN_FLOPS`]) it *packs* `Bᵀ` — the
+//! operand the kernel loads as vectors — into a scratch buffer (a plain
+//! blocked transpose, invisible to the obs counters and the allocator's
+//! live/peak audit) and runs the same blocked GEMM. Every path performs
+//! the scalar kernel's 4-wide k-group accumulation per output element,
+//! so all are bit-identical.
 
 use crate::alloc;
 use crate::dispatch;
@@ -39,10 +41,11 @@ const TRANSPOSE_BLOCK: usize = 32;
 /// Below this many elements a transpose stays serial.
 const TRANSPOSE_PARALLEL_THRESHOLD: usize = 64 * 1024;
 
-/// Minimum flop count (`2·m·n·p`) before `matmul_nt` / `matmul_tn` pack
-/// the transposed operand for the blocked SIMD GEMM. Below this the
-/// O(n·p) pack overhead isn't amortized and the strided scalar kernels
-/// win; the cutover only changes which bit-identical kernel runs.
+/// Minimum flop count (`2·m·n·p`) before `matmul_nt` packs `Bᵀ` for
+/// the blocked SIMD GEMM. Below this the O(n·p) pack overhead isn't
+/// amortized and the dot-product kernel wins; the cutover only changes
+/// which bit-identical kernel runs. (`matmul_tn` needs no pack: it reads
+/// `Aᵀ` in place at every size.)
 const PACK_MIN_FLOPS: usize = 1 << 18;
 
 /// `C[m×n] = A[m×k] · B[k×n]` into a caller-provided buffer.
@@ -128,49 +131,6 @@ fn matmul_nt_serial(a: &[f32], b: &[f32], c: &mut [f32], p: usize, n: usize, i0:
                 kk += 1;
             }
             *slot = acc;
-        }
-    }
-}
-
-/// Serial `C = Aᵀ · B` for output rows `[i0, i1)` (columns of `A`): the
-/// same k-unrolled i-k-j loop as [`matmul_serial`] with strided loads of
-/// `A`'s column `i` standing in for the materialized transpose's row, so
-/// the result is bit-identical to `a.t().matmul(&b)`.
-#[allow(clippy::too_many_arguments)]
-fn matmul_tn_serial(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    p: usize,
-    m: usize,
-    n: usize,
-    i0: usize,
-    i1: usize,
-) {
-    for i in i0..i1 {
-        let c_row = &mut c[(i - i0) * n..(i - i0 + 1) * n];
-        let mut kk = 0;
-        while kk + 4 <= p {
-            let a0 = a[kk * m + i];
-            let a1 = a[(kk + 1) * m + i];
-            let a2 = a[(kk + 2) * m + i];
-            let a3 = a[(kk + 3) * m + i];
-            let b0 = &b[kk * n..(kk + 1) * n];
-            let b1 = &b[(kk + 1) * n..(kk + 2) * n];
-            let b2 = &b[(kk + 2) * n..(kk + 3) * n];
-            let b3 = &b[(kk + 3) * n..(kk + 4) * n];
-            for j in 0..n {
-                c_row[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-            }
-            kk += 4;
-        }
-        while kk < p {
-            let av = a[kk * m + i];
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for j in 0..n {
-                c_row[j] += av * b_row[j];
-            }
-            kk += 1;
         }
     }
 }
@@ -483,69 +443,21 @@ impl Tensor {
         let b = other.as_slice();
         // Accumulating kernel — the recycled buffer must come back zeroed.
         let mut out = alloc::acquire_zeroed(batch * m * n);
-        // Large products pack Aᵀ and run the blocked SIMD GEMM instead of
-        // the strided-load kernel; same arithmetic per element, so the
-        // shape-only cutover never changes results.
-        let packed = dispatch::simd_active() && 2 * m * n * p >= PACK_MIN_FLOPS;
-        obs::tally_simd(if packed { dispatch::simd_tier().index() } else { 0 });
-        if packed {
-            let a_batches = if shared_lhs { 1 } else { batch };
-            let mut at = alloc::acquire(a_batches * m * p);
-            for bi in 0..a_batches {
-                transpose_blocked(
-                    &a[bi * p * m..(bi + 1) * p * m],
-                    &mut at[bi * m * p..(bi + 1) * m * p],
-                    p,
-                    m,
-                    0,
-                    m,
-                );
-            }
-            let at_ref = &at;
-            if batch >= 4 && batch * m * n >= BATCH_PARALLEL_THRESHOLD && !pool::is_serial() {
-                pool::par_chunks_mut(&mut out, m * n, |bi, c_chunk| {
-                    let at_sl = if shared_lhs {
-                        &at_ref[..]
-                    } else {
-                        &at_ref[bi * m * p..(bi + 1) * m * p]
-                    };
-                    let b_sl = &b[bi * p * n..(bi + 1) * p * n];
-                    simd::matmul(at_sl, b_sl, c_chunk, m, p, n);
-                });
-            } else {
-                for bi in 0..batch {
-                    let at_sl = if shared_lhs {
-                        &at_ref[..]
-                    } else {
-                        &at_ref[bi * m * p..(bi + 1) * m * p]
-                    };
-                    let b_sl = &b[bi * p * n..(bi + 1) * p * n];
-                    rows_parallel(&mut out[bi * m * n..(bi + 1) * m * n], m, n, |i0, i1, chunk| {
-                        simd::matmul(&at_sl[i0 * p..i1 * p], b_sl, chunk, i1 - i0, p, n);
-                    });
-                }
-            }
-            alloc::release(at);
-        } else if batch >= 4 && batch * m * n >= BATCH_PARALLEL_THRESHOLD && !pool::is_serial() {
+        obs::tally_simd(dispatch::simd_tier().index());
+        // `A[bi]` is `p × m`, so output row `i`'s k-th element sits at
+        // `i + kk·m`: the kernel reads `Aᵀ` in place with strides (1, m).
+        let a_batch = |bi: usize| if shared_lhs { a } else { &a[bi * p * m..(bi + 1) * p * m] };
+        if batch >= 4 && batch * m * n >= BATCH_PARALLEL_THRESHOLD && !pool::is_serial() {
             pool::par_chunks_mut(&mut out, m * n, |bi, c_chunk| {
-                let a_sl = if shared_lhs {
-                    a
-                } else {
-                    &a[bi * p * m..(bi + 1) * p * m]
-                };
                 let b_sl = &b[bi * p * n..(bi + 1) * p * n];
-                matmul_tn_serial(a_sl, b_sl, c_chunk, p, m, n, 0, m);
+                simd::matmul_strided(a_batch(bi), 1, m, b_sl, c_chunk, m, p, n);
             });
         } else {
             for bi in 0..batch {
-                let a_sl = if shared_lhs {
-                    a
-                } else {
-                    &a[bi * p * m..(bi + 1) * p * m]
-                };
+                let a_sl = a_batch(bi);
                 let b_sl = &b[bi * p * n..(bi + 1) * p * n];
                 rows_parallel(&mut out[bi * m * n..(bi + 1) * m * n], m, n, |i0, i1, chunk| {
-                    matmul_tn_serial(a_sl, b_sl, chunk, p, m, n, i0, i1);
+                    simd::matmul_strided(&a_sl[i0..], 1, m, b_sl, chunk, i1 - i0, p, n);
                 });
             }
         }

@@ -17,8 +17,8 @@
 //! 2. **Hand-written register-blocked GEMM microkernels** (`std::arch`
 //!    intrinsics on x86_64, a blocked auto-vectorized body on NEON) for
 //!    `matmul`: MR×NR accumulator tiles held in registers, loaded from
-//!    and stored back to `C` once per tile. These keep the repo-wide
-//!    4-wide k-grouping contract — each group is summed as
+//!    and stored back to `C` once per tile (per k block on x86). These
+//!    keep the repo-wide 4-wide k-grouping contract — each group is summed as
 //!    `((a0·b0 + a1·b1) + a2·b2) + a3·b3` and added to the accumulator
 //!    with one add, remainder terms one at a time — which is exactly the
 //!    scalar kernel's association, applied lane-wise over the contiguous
@@ -26,13 +26,17 @@
 //!    once where `mul`+`add` rounds twice, which would break bit
 //!    equality with the scalar path.
 //!
+//!    On x86 the edges run the same tile body — fewer rows, masked
+//!    column lanes — and `A`, which is only broadcast, is addressed by
+//!    strides, so `matmul_tn` reads `Aᵀ` in place.
+//!
 //! What deliberately **stays scalar** (see DESIGN.md §12): the chunked
 //! f64 full reductions and the dot-shaped `pair_dot`/`matmul_nt` inner
 //! loops (horizontal sums would need re-association), and the libm-based
 //! transcendentals (`exp`/`ln`/`tanh`/`powf`), whose polynomial
-//! vectorization is not bit-compatible with libm. The big `matmul_nt` /
-//! `matmul_tn` products reach the blocked kernel anyway by packing the
-//! transposed operand first (see `matmul.rs`).
+//! vectorization is not bit-compatible with libm. The big `matmul_nt`
+//! products reach the blocked kernel anyway by packing `Bᵀ` first (see
+//! `matmul.rs`).
 
 use crate::dispatch::{simd_tier, SimdTier};
 
@@ -82,28 +86,30 @@ pub enum UnOp {
     Square,
 }
 
-/// Scalar edge kernel shared by every blocked matmul variant: the
-/// original serial i-k-j loop restricted to rows `[i0, i1)` and columns
-/// `[j0, j1)` of `C += A·B`. Running the full range *is* the scalar
-/// reference kernel.
+/// Scalar GEMM block: the original serial i-k-j loop restricted to rows
+/// `[i0, i1)` and columns `[j0, j1)` of `C += A·B`, with `A[i, kk]` read
+/// at `a[i·rs + kk·ks]` (`rs = k, ks = 1` for a row-major `A`;
+/// `rs = 1, ks = m` reads a row-major `Aᵀ` in place). Running the full
+/// range *is* the scalar reference kernel; the portable blocked kernel
+/// uses it for its edges.
 #[allow(clippy::too_many_arguments)]
 fn scalar_block(
     a: &[f32],
+    rs: usize,
+    ks: usize,
     b: &[f32],
     c: &mut [f32],
     k: usize,
     n: usize,
-    i0: usize,
-    i1: usize,
-    j0: usize,
-    j1: usize,
+    (i0, i1): (usize, usize),
+    (j0, j1): (usize, usize),
 ) {
     for i in i0..i1 {
-        let a_row = &a[i * k..(i + 1) * k];
+        let a_at = |kk: usize| a[i * rs + kk * ks];
         let c_row = &mut c[i * n..(i + 1) * n];
         let mut kk = 0;
         while kk + 4 <= k {
-            let (a0, a1, a2, a3) = (a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]);
+            let (a0, a1, a2, a3) = (a_at(kk), a_at(kk + 1), a_at(kk + 2), a_at(kk + 3));
             let b0 = &b[kk * n..(kk + 1) * n];
             let b1 = &b[(kk + 1) * n..(kk + 2) * n];
             let b2 = &b[(kk + 2) * n..(kk + 3) * n];
@@ -114,7 +120,7 @@ fn scalar_block(
             kk += 4;
         }
         while kk < k {
-            let av = a_row[kk];
+            let av = a_at(kk);
             let b_row = &b[kk * n..(kk + 1) * n];
             for j in j0..j1 {
                 c_row[j] += av * b_row[j];
@@ -1064,19 +1070,21 @@ pub unsafe fn dadj_row_x86(
 /// tiles with the scalar association, auto-vectorized under the tier's
 /// target feature. Used as the NEON tier's `matmul` (intrinsics-free so
 /// it compiles — and is unit-tested — on every arch via the scalar
-/// instantiation) .
+/// instantiation).
 macro_rules! blocked_matmul_impl {
     ($(#[$attr:meta])*) => {
-        /// `C += A·B` with 4-row × 16-column register tiles; edges fall
-        /// back to the scalar block kernel. Per element this performs the
-        /// scalar kernel's exact operation sequence: the accumulator is
-        /// initialized from `C`, each 4-wide k group is summed
-        /// left-to-right and added with one add, remainder k single adds,
-        /// one store at the end.
-        #[allow(dead_code)]
+        /// `C += A·B` with 4-row × 16-column register tiles, `A[i, kk]`
+        /// at `a[i·rs + kk·ks]`; edges fall back to the scalar block
+        /// kernel. Per element this performs the scalar kernel's exact
+        /// operation sequence: the accumulator is initialized from `C`,
+        /// each 4-wide k group is summed left-to-right and added with one
+        /// add, remainder k single adds, one store at the end.
+        #[allow(dead_code, clippy::too_many_arguments)]
         $(#[$attr])*
         pub unsafe fn matmul_blocked(
             a: &[f32],
+            rs: usize,
+            ks: usize,
             b: &[f32],
             c: &mut [f32],
             m: usize,
@@ -1096,9 +1104,8 @@ macro_rules! blocked_matmul_impl {
                     let mut kk = 0;
                     while kk + 4 <= k {
                         for r in 0..MR {
-                            let a_row = &a[(i + r) * k..(i + r + 1) * k];
-                            let (a0, a1, a2, a3) =
-                                (a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]);
+                            let a_at = |t: usize| a[(i + r) * rs + (kk + t) * ks];
+                            let (a0, a1, a2, a3) = (a_at(0), a_at(1), a_at(2), a_at(3));
                             let b0 = &b[kk * n + j..kk * n + j + NR];
                             let b1 = &b[(kk + 1) * n + j..(kk + 1) * n + j + NR];
                             let b2 = &b[(kk + 2) * n + j..(kk + 2) * n + j + NR];
@@ -1112,7 +1119,7 @@ macro_rules! blocked_matmul_impl {
                     }
                     while kk < k {
                         for r in 0..MR {
-                            let av = a[(i + r) * k + kk];
+                            let av = a[(i + r) * rs + kk * ks];
                             let b0 = &b[kk * n + j..kk * n + j + NR];
                             let ar = &mut acc[r];
                             for jj in 0..NR {
@@ -1127,12 +1134,205 @@ macro_rules! blocked_matmul_impl {
                     j += NR;
                 }
                 if j < n {
-                    super::scalar_block(a, b, c, k, n, i, i + MR, j, n);
+                    super::scalar_block(a, rs, ks, b, c, k, n, (i, i + MR), (j, n));
                 }
                 i += MR;
             }
             if i < m {
-                super::scalar_block(a, b, c, k, n, i, m, 0, n);
+                super::scalar_block(a, rs, ks, b, c, k, n, (i, m), (0, n));
+            }
+        }
+    };
+}
+
+/// Generates an x86 tier's register-blocked GEMM: `MR`-row × two-vector
+/// accumulator tiles (`$rows` lists every row count `MR..=1`), with the
+/// tier's vector helpers (`Vf`, `Mask`, `W`, `zero`, `splat`, `mul`,
+/// `add`, `lane_mask`, `load`, `store`) in scope at the call site.
+///
+/// Edges run the same tile body: a row remainder is a tile instantiated
+/// for fewer rows, and a column remainder masks the last vector's lanes,
+/// which are then neither read from `B`/`C` nor stored. `A` is only ever
+/// broadcast, so it is addressed by `(rs, ks)` strides and `Aᵀ` is read
+/// in place. The k axis is walked in `KC`-row blocks (a multiple of 4,
+/// so the 4-wide groups never straddle a block) that keep the `B` panel
+/// cache-resident across row panels; `C` holds the running sum between
+/// blocks, which stores and reloads it exactly.
+#[cfg(target_arch = "x86_64")]
+macro_rules! gemm_x86_impl {
+    ($feat:literal, [$($rows:literal),+]) => {
+        /// k rows per cache block.
+        const KC: usize = 256;
+
+        /// One `R`-row × `NV`-vector tile of `C += A·B`. With `MASKED`
+        /// the last vector covers only the lanes in `mask`; with `UNIT_K`
+        /// the k stride is the constant 1 (a row-major `A`), which frees
+        /// the registers runtime k offsets would hold. Per lane:
+        /// `acc = c; acc += ((a0·b0 + a1·b1) + a2·b2) + a3·b3` per 4-wide
+        /// k group, single `acc += a·b` for the remainder — the scalar
+        /// association, no FMA.
+        ///
+        /// # Safety
+        /// `a[r·rs + kk·ks]` for `r < R, kk < k`, `b[kk·n + j]` and
+        /// `c[r·n + j]` for every active column `j` of the tile must be
+        /// in bounds, and the CPU must support the tier's feature.
+        #[target_feature(enable = $feat)]
+        #[inline]
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn tile<const R: usize, const NV: usize, const MASKED: bool, const UNIT_K: bool>(
+            a: *const f32,
+            rs: usize,
+            ks: usize,
+            b: *const f32,
+            c: *mut f32,
+            k: usize,
+            n: usize,
+            mask: Mask,
+        ) {
+            let ks = if UNIT_K { 1 } else { ks };
+            let edge = |v: usize| MASKED && v + 1 == NV;
+            let mut acc = [[zero(); NV]; R];
+            for (r, ar) in acc.iter_mut().enumerate() {
+                for (v, x) in ar.iter_mut().enumerate() {
+                    *x = load(c.add(r * n + v * W), mask, edge(v));
+                }
+            }
+            let mut kk = 0;
+            while kk + 4 <= k {
+                let mut bk = [[zero(); NV]; 4];
+                for (t, bt) in bk.iter_mut().enumerate() {
+                    for (v, x) in bt.iter_mut().enumerate() {
+                        *x = load(b.add((kk + t) * n + v * W), mask, edge(v));
+                    }
+                }
+                for (r, ar) in acc.iter_mut().enumerate() {
+                    let ap = a.add(r * rs + kk * ks);
+                    let a0 = splat(*ap);
+                    let a1 = splat(*ap.add(ks));
+                    let a2 = splat(*ap.add(2 * ks));
+                    let a3 = splat(*ap.add(3 * ks));
+                    for (v, x) in ar.iter_mut().enumerate() {
+                        let mut g = mul(a0, bk[0][v]);
+                        g = add(g, mul(a1, bk[1][v]));
+                        g = add(g, mul(a2, bk[2][v]));
+                        g = add(g, mul(a3, bk[3][v]));
+                        *x = add(*x, g);
+                    }
+                }
+                kk += 4;
+            }
+            while kk < k {
+                let mut bk = [zero(); NV];
+                for (v, x) in bk.iter_mut().enumerate() {
+                    *x = load(b.add(kk * n + v * W), mask, edge(v));
+                }
+                for (r, ar) in acc.iter_mut().enumerate() {
+                    let av = splat(*a.add(r * rs + kk * ks));
+                    for (v, x) in ar.iter_mut().enumerate() {
+                        *x = add(*x, mul(av, bk[v]));
+                    }
+                }
+                kk += 1;
+            }
+            for (r, ar) in acc.iter().enumerate() {
+                for (v, x) in ar.iter().enumerate() {
+                    store(c.add(r * n + v * W), *x, mask, edge(v));
+                }
+            }
+        }
+
+        /// All of one `R`-row panel's columns: full two-vector tiles, then
+        /// one masked, single-vector or masked single-vector edge tile.
+        ///
+        /// # Safety
+        /// As [`tile`], for all `n` columns of the panel.
+        #[target_feature(enable = $feat)]
+        #[inline]
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn panel<const R: usize, const UNIT_K: bool>(
+            a: *const f32,
+            rs: usize,
+            ks: usize,
+            b: *const f32,
+            c: *mut f32,
+            k: usize,
+            n: usize,
+        ) {
+            let full = lane_mask(W);
+            let mut j = 0;
+            while j + 2 * W <= n {
+                tile::<R, 2, false, UNIT_K>(a, rs, ks, b.add(j), c.add(j), k, n, full);
+                j += 2 * W;
+            }
+            let (b, c) = (b.add(j), c.add(j));
+            match n - j {
+                0 => {}
+                rem if rem < W => {
+                    tile::<R, 1, true, UNIT_K>(a, rs, ks, b, c, k, n, lane_mask(rem))
+                }
+                rem if rem == W => tile::<R, 1, false, UNIT_K>(a, rs, ks, b, c, k, n, full),
+                rem => tile::<R, 2, true, UNIT_K>(a, rs, ks, b, c, k, n, lane_mask(rem - W)),
+            }
+        }
+
+        /// `C[m×n] += A·B` with `A[i, kk]` at `a[i·rs + kk·ks]`.
+        ///
+        /// # Safety
+        /// The CPU must support the tier's feature, and `a`, `b`, `c`
+        /// must cover the extents the wrapper [`super::matmul_strided`]
+        /// asserts.
+        #[target_feature(enable = $feat)]
+        #[allow(clippy::too_many_arguments)]
+        pub unsafe fn matmul(
+            a: &[f32],
+            rs: usize,
+            ks: usize,
+            b: &[f32],
+            c: &mut [f32],
+            m: usize,
+            k: usize,
+            n: usize,
+        ) {
+            let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+            if ks == 1 {
+                panels::<true>(ap, rs, ks, bp, cp, m, k, n);
+            } else {
+                panels::<false>(ap, rs, ks, bp, cp, m, k, n);
+            }
+        }
+
+        /// The k-block and row-panel walk of [`matmul`].
+        ///
+        /// # Safety
+        /// As [`matmul`].
+        #[target_feature(enable = $feat)]
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn panels<const UNIT_K: bool>(
+            ap: *const f32,
+            rs: usize,
+            ks: usize,
+            bp: *const f32,
+            cp: *mut f32,
+            m: usize,
+            k: usize,
+            n: usize,
+        ) {
+            const MR: usize = [$($rows),+][0];
+            let mut k0 = 0;
+            while k0 < k {
+                let kc = KC.min(k - k0);
+                let (ak, bk) = (ap.add(k0 * ks), bp.add(k0 * n));
+                let mut i = 0;
+                while i < m {
+                    let rows = MR.min(m - i);
+                    let (ai, ci) = (ak.add(i * rs), cp.add(i * n));
+                    match rows {
+                        $($rows => panel::<$rows, UNIT_K>(ai, rs, ks, bk, ci, kc, n),)+
+                        _ => unreachable!("row panels hold 1..=MR rows"),
+                    }
+                    i += rows;
+                }
+                k0 += kc;
             }
         }
     };
@@ -1149,8 +1349,18 @@ pub(crate) mod scalar {
     blocked_matmul_impl!();
 
     /// The original serial i-k-j kernel: `C += A·B` over the full range.
-    pub unsafe fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        super::scalar_block(a, b, c, k, n, 0, m, 0, n);
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn matmul(
+        a: &[f32],
+        rs: usize,
+        ks: usize,
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        super::scalar_block(a, rs, ks, b, c, k, n, (0, m), (0, n));
     }
 }
 
@@ -1207,78 +1417,62 @@ pub(crate) mod avx2 {
     );
     pub use super::dadj_row_x86 as dadj_row;
 
-    /// `C += A·B`, MR=4 rows × NR=16 columns of accumulators (2×__m256
-    /// per row). Same association as scalar: per 4-wide k group,
-    /// `g = ((a0·b0 + a1·b1) + a2·b2) + a3·b3; acc += g` lane-wise; no FMA.
+    type Vf = __m256;
+    /// Lane mask in `_mm256_maskload_ps` form: lane `l` active iff its
+    /// 32-bit element has the sign bit set.
+    type Mask = __m256i;
+    const W: usize = 8;
+
     #[target_feature(enable = "avx2")]
-    pub unsafe fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        const MR: usize = 4;
-        const NR: usize = 16;
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let cp = c.as_mut_ptr();
-        let mut i = 0;
-        while i + MR <= m {
-            let mut j = 0;
-            while j + NR <= n {
-                let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-                for (r, ar) in acc.iter_mut().enumerate() {
-                    ar[0] = _mm256_loadu_ps(cp.add((i + r) * n + j));
-                    ar[1] = _mm256_loadu_ps(cp.add((i + r) * n + j + 8));
-                }
-                let mut kk = 0;
-                while kk + 4 <= k {
-                    let b00 = _mm256_loadu_ps(bp.add(kk * n + j));
-                    let b01 = _mm256_loadu_ps(bp.add(kk * n + j + 8));
-                    let b10 = _mm256_loadu_ps(bp.add((kk + 1) * n + j));
-                    let b11 = _mm256_loadu_ps(bp.add((kk + 1) * n + j + 8));
-                    let b20 = _mm256_loadu_ps(bp.add((kk + 2) * n + j));
-                    let b21 = _mm256_loadu_ps(bp.add((kk + 2) * n + j + 8));
-                    let b30 = _mm256_loadu_ps(bp.add((kk + 3) * n + j));
-                    let b31 = _mm256_loadu_ps(bp.add((kk + 3) * n + j + 8));
-                    for (r, ar) in acc.iter_mut().enumerate() {
-                        let a0 = _mm256_set1_ps(*ap.add((i + r) * k + kk));
-                        let a1 = _mm256_set1_ps(*ap.add((i + r) * k + kk + 1));
-                        let a2 = _mm256_set1_ps(*ap.add((i + r) * k + kk + 2));
-                        let a3 = _mm256_set1_ps(*ap.add((i + r) * k + kk + 3));
-                        let mut g0 = _mm256_mul_ps(a0, b00);
-                        g0 = _mm256_add_ps(g0, _mm256_mul_ps(a1, b10));
-                        g0 = _mm256_add_ps(g0, _mm256_mul_ps(a2, b20));
-                        g0 = _mm256_add_ps(g0, _mm256_mul_ps(a3, b30));
-                        ar[0] = _mm256_add_ps(ar[0], g0);
-                        let mut g1 = _mm256_mul_ps(a0, b01);
-                        g1 = _mm256_add_ps(g1, _mm256_mul_ps(a1, b11));
-                        g1 = _mm256_add_ps(g1, _mm256_mul_ps(a2, b21));
-                        g1 = _mm256_add_ps(g1, _mm256_mul_ps(a3, b31));
-                        ar[1] = _mm256_add_ps(ar[1], g1);
-                    }
-                    kk += 4;
-                }
-                while kk < k {
-                    let b0 = _mm256_loadu_ps(bp.add(kk * n + j));
-                    let b1 = _mm256_loadu_ps(bp.add(kk * n + j + 8));
-                    for (r, ar) in acc.iter_mut().enumerate() {
-                        let av = _mm256_set1_ps(*ap.add((i + r) * k + kk));
-                        ar[0] = _mm256_add_ps(ar[0], _mm256_mul_ps(av, b0));
-                        ar[1] = _mm256_add_ps(ar[1], _mm256_mul_ps(av, b1));
-                    }
-                    kk += 1;
-                }
-                for (r, ar) in acc.iter().enumerate() {
-                    _mm256_storeu_ps(cp.add((i + r) * n + j), ar[0]);
-                    _mm256_storeu_ps(cp.add((i + r) * n + j + 8), ar[1]);
-                }
-                j += NR;
-            }
-            if j < n {
-                super::scalar_block(a, b, c, k, n, i, i + MR, j, n);
-            }
-            i += MR;
-        }
-        if i < m {
-            super::scalar_block(a, b, c, k, n, i, m, 0, n);
+    #[inline]
+    unsafe fn zero() -> Vf {
+        _mm256_setzero_ps()
+    }
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn splat(x: f32) -> Vf {
+        _mm256_set1_ps(x)
+    }
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn mul(x: Vf, y: Vf) -> Vf {
+        _mm256_mul_ps(x, y)
+    }
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn add(x: Vf, y: Vf) -> Vf {
+        _mm256_add_ps(x, y)
+    }
+    /// The first `lanes` (0..=W) lanes.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn lane_mask(lanes: usize) -> Mask {
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes as i32), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
+    }
+    /// A full vector at `p`, or only `mask`'s lanes (the rest read as
+    /// zero and are not touched in memory) when `masked`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load(p: *const f32, mask: Mask, masked: bool) -> Vf {
+        if masked {
+            _mm256_maskload_ps(p, mask)
+        } else {
+            _mm256_loadu_ps(p)
         }
     }
+    /// Stores `v` at `p`, only `mask`'s lanes when `masked`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn store(p: *mut f32, v: Vf, mask: Mask, masked: bool) {
+        if masked {
+            _mm256_maskstore_ps(p, mask, v)
+        } else {
+            _mm256_storeu_ps(p, v)
+        }
+    }
+
+    // 4×16 tiles: 8 ymm accumulators, 8 for the k group's B vectors.
+    gemm_x86_impl!("avx2", [4, 3, 2, 1]);
 }
 
 /// x86_64 AVX-512 tier: shared bodies under `avx512f`, plus the 8×32
@@ -1321,77 +1515,60 @@ pub(crate) mod avx512 {
     );
     pub use super::dadj_row_x86 as dadj_row;
 
-    /// `C += A·B`, MR=8 rows × NR=32 columns of accumulators (2×__m512
-    /// per row). Same association as scalar; no FMA.
+    type Vf = __m512;
+    type Mask = __mmask16;
+    const W: usize = 16;
+
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        const MR: usize = 8;
-        const NR: usize = 32;
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let cp = c.as_mut_ptr();
-        let mut i = 0;
-        while i + MR <= m {
-            let mut j = 0;
-            while j + NR <= n {
-                let mut acc = [[_mm512_setzero_ps(); 2]; MR];
-                for (r, ar) in acc.iter_mut().enumerate() {
-                    ar[0] = _mm512_loadu_ps(cp.add((i + r) * n + j));
-                    ar[1] = _mm512_loadu_ps(cp.add((i + r) * n + j + 16));
-                }
-                let mut kk = 0;
-                while kk + 4 <= k {
-                    let b00 = _mm512_loadu_ps(bp.add(kk * n + j));
-                    let b01 = _mm512_loadu_ps(bp.add(kk * n + j + 16));
-                    let b10 = _mm512_loadu_ps(bp.add((kk + 1) * n + j));
-                    let b11 = _mm512_loadu_ps(bp.add((kk + 1) * n + j + 16));
-                    let b20 = _mm512_loadu_ps(bp.add((kk + 2) * n + j));
-                    let b21 = _mm512_loadu_ps(bp.add((kk + 2) * n + j + 16));
-                    let b30 = _mm512_loadu_ps(bp.add((kk + 3) * n + j));
-                    let b31 = _mm512_loadu_ps(bp.add((kk + 3) * n + j + 16));
-                    for (r, ar) in acc.iter_mut().enumerate() {
-                        let a0 = _mm512_set1_ps(*ap.add((i + r) * k + kk));
-                        let a1 = _mm512_set1_ps(*ap.add((i + r) * k + kk + 1));
-                        let a2 = _mm512_set1_ps(*ap.add((i + r) * k + kk + 2));
-                        let a3 = _mm512_set1_ps(*ap.add((i + r) * k + kk + 3));
-                        let mut g0 = _mm512_mul_ps(a0, b00);
-                        g0 = _mm512_add_ps(g0, _mm512_mul_ps(a1, b10));
-                        g0 = _mm512_add_ps(g0, _mm512_mul_ps(a2, b20));
-                        g0 = _mm512_add_ps(g0, _mm512_mul_ps(a3, b30));
-                        ar[0] = _mm512_add_ps(ar[0], g0);
-                        let mut g1 = _mm512_mul_ps(a0, b01);
-                        g1 = _mm512_add_ps(g1, _mm512_mul_ps(a1, b11));
-                        g1 = _mm512_add_ps(g1, _mm512_mul_ps(a2, b21));
-                        g1 = _mm512_add_ps(g1, _mm512_mul_ps(a3, b31));
-                        ar[1] = _mm512_add_ps(ar[1], g1);
-                    }
-                    kk += 4;
-                }
-                while kk < k {
-                    let b0 = _mm512_loadu_ps(bp.add(kk * n + j));
-                    let b1 = _mm512_loadu_ps(bp.add(kk * n + j + 16));
-                    for (r, ar) in acc.iter_mut().enumerate() {
-                        let av = _mm512_set1_ps(*ap.add((i + r) * k + kk));
-                        ar[0] = _mm512_add_ps(ar[0], _mm512_mul_ps(av, b0));
-                        ar[1] = _mm512_add_ps(ar[1], _mm512_mul_ps(av, b1));
-                    }
-                    kk += 1;
-                }
-                for (r, ar) in acc.iter().enumerate() {
-                    _mm512_storeu_ps(cp.add((i + r) * n + j), ar[0]);
-                    _mm512_storeu_ps(cp.add((i + r) * n + j + 16), ar[1]);
-                }
-                j += NR;
-            }
-            if j < n {
-                super::scalar_block(a, b, c, k, n, i, i + MR, j, n);
-            }
-            i += MR;
-        }
-        if i < m {
-            super::scalar_block(a, b, c, k, n, i, m, 0, n);
+    #[inline]
+    unsafe fn zero() -> Vf {
+        _mm512_setzero_ps()
+    }
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn splat(x: f32) -> Vf {
+        _mm512_set1_ps(x)
+    }
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn mul(x: Vf, y: Vf) -> Vf {
+        _mm512_mul_ps(x, y)
+    }
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn add(x: Vf, y: Vf) -> Vf {
+        _mm512_add_ps(x, y)
+    }
+    /// The first `lanes` (0..=W) lanes.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn lane_mask(lanes: usize) -> Mask {
+        ((1u32 << lanes) - 1) as Mask
+    }
+    /// A full vector at `p`, or only `mask`'s lanes (the rest read as
+    /// zero and are not touched in memory) when `masked`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn load(p: *const f32, mask: Mask, masked: bool) -> Vf {
+        if masked {
+            _mm512_maskz_loadu_ps(mask, p)
+        } else {
+            _mm512_loadu_ps(p)
         }
     }
+    /// Stores `v` at `p`, only `mask`'s lanes when `masked`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn store(p: *mut f32, v: Vf, mask: Mask, masked: bool) {
+        if masked {
+            _mm512_mask_storeu_ps(p, mask, v)
+        } else {
+            _mm512_storeu_ps(p, v)
+        }
+    }
+
+    // 8×32 tiles: 16 zmm accumulators, 8 for the k group's B vectors.
+    gemm_x86_impl!("avx512f", [8, 7, 6, 5, 4, 3, 2, 1]);
 }
 
 /// Routes a call to the active tier's variant. Safety: a non-scalar arm
@@ -1417,9 +1594,34 @@ macro_rules! tier_dispatch {
 /// bit-identical to the scalar serial kernel.
 pub fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    tier_dispatch!(matmul(a, b, c, m, k, n))
+    matmul_strided(a, k, 1, b, c, m, k, n)
+}
+
+/// [`matmul`] with `A[i, kk]` read at `a[i·row_stride + kk·k_stride]`:
+/// `(k, 1)` is a row-major `A`, and `(1, lda)` reads a row-major
+/// `Aᵀ` (`k × lda`) in place, as `matmul_tn` does. Bit-identical to
+/// `matmul` on the materialized `A` on every tier.
+///
+/// # Panics
+/// When `a`, `b` or `c` is too short for the shape (the x86 kernels
+/// read and write through raw pointers, so this is checked always).
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_strided(
+    a: &[f32],
+    row_stride: usize,
+    k_stride: usize,
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    assert!(a.len() > (m - 1) * row_stride + (k - 1) * k_stride, "matmul: A too short");
+    assert!(b.len() >= k * n && c.len() >= m * n, "matmul: B or C too short");
+    tier_dispatch!(matmul(a, row_stride, k_stride, b, c, m, k, n))
 }
 
 /// Elementwise `out = a ⊕ b` over equal-length slices.
@@ -1665,7 +1867,19 @@ mod tests {
 
     #[test]
     fn matmul_tiers_bit_identical_odd_shapes() {
-        for &(m, k, n) in &[(1, 1, 1), (3, 7, 17), (17, 63, 65), (65, 65, 63), (8, 4, 32)] {
+        let mut shapes = vec![(1, 1, 1), (3, 7, 17), (17, 63, 65), (65, 65, 63), (8, 4, 32)];
+        // Training's narrow shapes: every row remainder of the 8- and
+        // 4-row panels, masked column tiles from 1 lane to one short of
+        // two vectors, and k past the 256-row cache block with a k
+        // remainder.
+        for m in [3, 7, 35] {
+            for n in [1, 2, 16, 35, 47] {
+                for k in [1, 6, 35, 2051] {
+                    shapes.push((m, k, n));
+                }
+            }
+        }
+        for &(m, k, n) in &shapes {
             let a = rand_vec(m * k, 1 + m as u64);
             let b = rand_vec(k * n, 2 + n as u64);
             assert_all_tiers_match(
@@ -1680,6 +1894,63 @@ mod tests {
     }
 
     #[test]
+    fn matmul_tn_reads_a_transposed_in_place_on_every_tier() {
+        use crate::Tensor;
+        let t = |dims: &[usize], seed: u64| {
+            Tensor::from_vec(rand_vec(dims.iter().product(), seed), dims)
+        };
+        // Shared-lhs and per-batch products, each above the 2¹⁸-flop
+        // cutover where the tn operand used to be packed; the last has
+        // m·n ≥ 64 Ki, so a pooled run splits its rows into chunks that
+        // start at i0 ≠ 0.
+        let cases: [(&[usize], &[usize]); 4] = [
+            (&[300, 35], &[2, 300, 47]),
+            (&[2, 300, 35], &[2, 300, 16]),
+            (&[4, 129, 7], &[4, 129, 35]),
+            (&[64, 300], &[64, 235]),
+        ];
+        for (i, (ad, bd)) in cases.into_iter().enumerate() {
+            let (a, b) = (t(ad, 41 + i as u64), t(bd, 51 + i as u64));
+            for serial in [false, true] {
+                assert_all_tiers_match(
+                    || {
+                        let run = || (a.matmul_tn(&b), a.transpose_last2().matmul(&b));
+                        let (got, want) = if serial { crate::pool::run_serial(run) } else { run() };
+                        assert_eq!(got.dims(), want.dims());
+                        for (j, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                            assert_eq!(g.to_bits(), w.to_bits(), "tn vs materialized at {j}");
+                        }
+                        got.as_slice().to_vec()
+                    },
+                    &format!("matmul_tn {ad:?}x{bd:?} serial={serial}"),
+                );
+            }
+        }
+        // The kernel seam the pool uses: a row chunk `[i0, m)` reads `Aᵀ`
+        // from column `i0` on, whatever the host's thread count.
+        let (p, m, n) = (300, 35, 47);
+        let a = rand_vec(p * m, 61);
+        let b = rand_vec(p * n, 62);
+        assert_all_tiers_match(
+            || {
+                let mut whole = vec![0.0f32; m * n];
+                matmul_strided(&a, 1, m, &b, &mut whole, m, p, n);
+                for i0 in [1, 8, 13] {
+                    let mut c = vec![0.0f32; m * n];
+                    let (top, bottom) = c.split_at_mut(i0 * n);
+                    matmul_strided(&a, 1, m, &b, top, i0, p, n);
+                    matmul_strided(&a[i0..], 1, m, &b, bottom, m - i0, p, n);
+                    for (j, (x, y)) in c.iter().zip(&whole).enumerate() {
+                        assert_eq!(x.to_bits(), y.to_bits(), "chunk at i0={i0}, element {j}");
+                    }
+                }
+                whole
+            },
+            "matmul_strided tn row chunks",
+        );
+    }
+
+    #[test]
     fn blocked_matmul_matches_scalar_reference() {
         // The NEON tier's kernel body, instantiated without a target
         // feature, must agree with the original serial kernel everywhere.
@@ -1689,8 +1960,8 @@ mod tests {
             let mut c0 = vec![0.0f32; m * n];
             let mut c1 = vec![0.0f32; m * n];
             unsafe {
-                scalar::matmul(&a, &b, &mut c0, m, k, n);
-                scalar::matmul_blocked(&a, &b, &mut c1, m, k, n);
+                scalar::matmul(&a, k, 1, &b, &mut c0, m, k, n);
+                scalar::matmul_blocked(&a, k, 1, &b, &mut c1, m, k, n);
             }
             for (x, y) in c0.iter().zip(&c1) {
                 assert_eq!(x.to_bits(), y.to_bits(), "({m},{k},{n})");

@@ -5,22 +5,35 @@
 //! `SAGDFN_SIMD=scalar` must reproduce the auto-dispatched run's loss and
 //! *every* parameter gradient under `f32` equality — with the buffer pool
 //! recycling on or off, and on the serial path as well as the pooled one.
+//! The Tiny preset's GEMMs are too small to leave the scalar-sized
+//! paths; the Small-preset case (N = 120) runs training's narrow shapes
+//! (c = 35, n = 16, one head column) through the masked edge tiles and
+//! the in-place `matmul_tn`.
 
 use sagdfn_repro::autodiff::Tape;
-use sagdfn_repro::data::{metr_la_like, Scale, SplitSpec, ThreeWaySplit};
+use sagdfn_repro::data::{city2000_like, metr_la_like, Scale, SplitSpec, ThreeWaySplit};
 use sagdfn_repro::nn::loss::masked_mae;
 use sagdfn_repro::nn::Mode;
 use sagdfn_repro::sagdfn::{Sagdfn, SagdfnConfig};
 use sagdfn_repro::tensor::{alloc, pool, set_simd_mode, SimdMode, Tensor};
 
-/// One forward + backward pass of the full model under the given SIMD
-/// mode: returns the loss and every named parameter gradient.
+/// One forward + backward pass of the full Tiny-preset model under the
+/// given SIMD mode: returns the loss and every named parameter gradient.
 fn forward_backward(mode: SimdMode) -> (f32, Vec<(String, Tensor)>) {
+    forward_backward_at(mode, Scale::Tiny)
+}
+
+/// [`forward_backward`] at `scale`: Tiny runs the METR-LA-like preset
+/// (N = 24), Small the city preset (N = 120), both at B = 2.
+fn forward_backward_at(mode: SimdMode, scale: Scale) -> (f32, Vec<(String, Tensor)>) {
     let prev = set_simd_mode(mode);
-    let data = metr_la_like(Scale::Tiny);
+    let data = match scale {
+        Scale::Tiny => metr_la_like(scale),
+        _ => city2000_like(scale, 0),
+    };
     let n = data.dataset.nodes();
     let split = ThreeWaySplit::new(data.dataset, SplitSpec::paper(12, 12));
-    let model = Sagdfn::new(n, SagdfnConfig::for_scale(Scale::Tiny, n));
+    let model = Sagdfn::new(n, SagdfnConfig::for_scale(scale, n));
     let batch = split.train.make_batch(&[0, 1]);
 
     let tape = Tape::new();
@@ -60,6 +73,13 @@ fn simd_and_scalar_runs_agree_exactly() {
     let scalar = forward_backward(SimdMode::Scalar);
     let auto = forward_backward(SimdMode::Auto);
     assert_same(&auto, &scalar, "auto vs scalar");
+}
+
+#[test]
+fn small_preset_simd_and_scalar_runs_agree_exactly() {
+    let scalar = forward_backward_at(SimdMode::Scalar, Scale::Small);
+    let auto = forward_backward_at(SimdMode::Auto, Scale::Small);
+    assert_same(&auto, &scalar, "Small preset, auto vs scalar");
 }
 
 #[test]
