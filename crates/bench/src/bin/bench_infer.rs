@@ -2,9 +2,8 @@
 //! in four execution modes — the recording tape ("taped", what training
 //! uses), the no-grad tape with the adjacency rebuilt per batch, the
 //! no-grad tape with the frozen adjacency plan reused across batches but
-//! still interpreted op-by-op, and the compiled plan executor
-//! (`SAGDFN_PLAN`, the default `Mode::Eval` path since the plan-executor
-//! change). Writes `BENCH_infer.json`.
+//! still interpreted op-by-op, and the compiled plan executor (the
+//! `Mode::Eval` path). Writes `BENCH_infer.json`.
 //!
 //! Each of the three faster modes races the taped arm on its own
 //! ([`gate::race`]) — every round runs one pass of each arm back to back

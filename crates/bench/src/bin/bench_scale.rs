@@ -26,9 +26,9 @@
 //! N = 20000 the sharded plan fits a V100-32GB while the unsharded
 //! SAGDFN working set and the dense-adjacency baseline both exceed it
 //! (per memsim, so the dense path would provably OOM); the resolved shard
-//! count matches the plan (when `SAGDFN_SHARDS` does not override it);
-//! and each phase's step/reference ratio stays within 1.5× of the
-//! recorded baseline, plus 1 ms of step time in reference units.
+//! count matches the plan; and each phase's step/reference ratio stays
+//! within 1.5× of the recorded baseline, plus 1 ms of step time in
+//! reference units.
 
 use sagdfn_autodiff::Tape;
 use sagdfn_bench::gate::{self, Gate};
@@ -264,16 +264,14 @@ fn main() {
             ),
             Gate::holds("N=20000 dense N x N baseline OOMs", frontier.dense_would_oom),
             Gate::at_least("N=20000 planned shards", frontier.plan.shards as f64, 2.0),
-        ];
-        if std::env::var("SAGDFN_SHARDS").is_err() {
-            gates.push(Gate::holds(
+            Gate::holds(
                 format!(
                     "N=20000 resolved shards ({}) = planned ({})",
                     frontier.shards, frontier.plan.shards
                 ),
                 frontier.shards == frontier.plan.shards,
-            ));
-        }
+            ),
+        ];
         for c in &cases {
             for (phase, p) in [("train_per_reference", &c.train), ("eval_per_reference", &c.eval)] {
                 // 1.5x slack, plus 1 ms of step time in reference units.

@@ -445,7 +445,7 @@ pub fn profile(args: &[String]) -> Result<(), String> {
     let base = obs::snapshot();
     println!("profiling {steps} training steps on {n} nodes ({scale:?} scale, {mode:?} mode)");
     println!("{}", sagdfn_tensor::dispatch::description());
-    // The resolved shard plan (SAGDFN_SHARDS > cfg.shards > memsim auto)
+    // The resolved shard count (cfg.shards, else the memsim auto plan)
     // and the memory split that justified it.
     let plan = sagdfn_memsim::plan_shards(
         n,
@@ -487,8 +487,8 @@ pub fn profile(args: &[String]) -> Result<(), String> {
     }
     let delta = obs::snapshot().since(&base);
     println!("\n{}", obs::format_table(&delta));
-    // The eval sweep above ran through the plan executor (unless
-    // SAGDFN_PLAN=off): show the compiled schedule with per-op times.
+    // The eval sweep above ran through the plan executor: show the
+    // compiled schedule with per-op times.
     if let Some(table) = model.plan_table() {
         println!("{table}");
     }

@@ -95,10 +95,10 @@ pub struct SagdfnConfig {
     /// Node-shard count for the diffusion working set (DESIGN.md §14).
     /// `0` = auto: ask `sagdfn-memsim` to plan the smallest count whose
     /// modeled peak fits a V100-32GB; `1` disables sharding; `k > 1`
-    /// forces `k` row shards. The `SAGDFN_SHARDS` environment variable
-    /// (`auto` or a count) overrides this field at model construction.
-    /// Sharding never changes results: shard boundaries are 4-aligned so
-    /// every sharded kernel is bit-identical to its unsharded form.
+    /// forces `k` row shards. This field is the only way to set the
+    /// count. Sharding never changes results: shard boundaries are
+    /// 4-aligned so every sharded kernel is bit-identical to its unsharded
+    /// form.
     pub shards: usize,
     /// Forecast head of the decoder. Non-point heads require the GRU
     /// backbone (the direct TCN/attention heads stay point-only).

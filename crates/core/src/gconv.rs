@@ -34,9 +34,9 @@ const DEGREE_FLOOR: f32 = 0.1;
 ///
 /// * the `(D+I)^{-1}` normalizer (previously rebuilt per step), and
 /// * a [`DiffusePlan`] for the weights, chosen by measured density
-///   (`sparse::spmm_dispatch`, overridable via `SAGDFN_SPARSE`): dense
-///   GEMMs throughout, full CSR, or the hybrid that keeps products on
-///   the GEMMs and only the adjacency gradient on the
+///   (`sparse::spmm_dispatch`; tests force one with `set_sparse_mode`):
+///   dense GEMMs throughout, full CSR, or the hybrid that keeps products
+///   on the GEMMs and only the adjacency gradient on the
 ///   support-restricted CSR. With entmax-produced adjacencies the exact
 ///   zeros make the restriction lossless (DESIGN.md §9).
 pub struct Adjacency<'t> {

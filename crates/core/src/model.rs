@@ -27,7 +27,7 @@ pub struct Sagdfn {
     variant: Variant,
     n: usize,
     /// Resolved node-shard count (≥ 1), fixed at construction:
-    /// `SAGDFN_SHARDS` env > `cfg.shards` > memsim auto plan. See
+    /// `cfg.shards`, or the memsim auto plan when it is 0. See
     /// [`Sagdfn::shards`].
     shards: usize,
     embed: ParamId,
@@ -336,10 +336,11 @@ impl Sagdfn {
     /// schedule on first use and again only when a batch outgrows it;
     /// steady-state calls of any batch size up to that perform zero
     /// allocator acquires. Returns `false` without touching `out` when
-    /// the planned path is ineligible (non-GRU backbone or
-    /// `SAGDFN_PLAN=off`), in which case the caller falls back to
-    /// [`Sagdfn::forward`]. Bit-identical to the interpreted eval
-    /// forward (`tests/plan_executor.rs`).
+    /// the planned path is ineligible (non-GRU backbone, or the
+    /// interpreted oracle selected by [`set_plan_mode`](plan::set_plan_mode)),
+    /// in which case the caller falls back to [`Sagdfn::forward`].
+    /// Bit-identical to the interpreted eval forward
+    /// (`tests/plan_executor.rs`).
     pub fn planned_forward_into(&self, batch: &Batch, scaler: ZScore, out: &mut Tensor) -> bool {
         if !plan::plan_enabled() {
             return false;
@@ -488,26 +489,16 @@ impl Sagdfn {
     }
 }
 
-/// Resolves the node-shard count for a model over `n` nodes.
-/// Precedence: the `SAGDFN_SHARDS` environment variable (`auto` or a
-/// count ≥ 1; anything unparseable falls back to `auto`) beats
-/// `cfg.shards` (0 = auto) beats the memsim auto plan — the smallest
-/// shard count whose modeled peak fits a V100-32GB at the configured
-/// batch size, which keeps small graphs unsharded and engages sharding
-/// only at paper scale.
+/// Resolves the node-shard count for a model over `n` nodes: a set
+/// `cfg.shards` wins; 0 asks the memsim auto plan for the smallest shard
+/// count whose modeled peak fits a V100-32GB at the configured batch
+/// size, which keeps small graphs unsharded and engages sharding only at
+/// paper scale.
 fn resolve_shards(cfg: &SagdfnConfig, n: usize) -> usize {
-    let auto = || {
-        sagdfn_memsim::plan_shards(n, cfg.batch_size, sagdfn_memsim::V100_32GB.capacity_bytes)
-            .shards
-    };
-    match std::env::var("SAGDFN_SHARDS").as_deref() {
-        Ok(v) => match v.parse::<usize>() {
-            Ok(k) if k >= 1 => k,
-            _ => auto(),
-        },
-        Err(_) if cfg.shards > 0 => cfg.shards,
-        Err(_) => auto(),
+    if cfg.shards > 0 {
+        return cfg.shards;
     }
+    sagdfn_memsim::plan_shards(n, cfg.batch_size, sagdfn_memsim::V100_32GB.capacity_bytes).shards
 }
 
 /// The temporal body of the forecaster (see [`Backbone`]).
@@ -1188,9 +1179,7 @@ mod tests {
             let mut cfg = SagdfnConfig::for_scale(Scale::Tiny, n);
             cfg.shards = shards;
             let model = Sagdfn::new(n, cfg);
-            if std::env::var("SAGDFN_SHARDS").is_err() {
-                assert_eq!(model.shards(), shards);
-            }
+            assert_eq!(model.shards(), shards);
             let split = ThreeWaySplit::new(data.dataset, SplitSpec::paper(4, 4));
             let batch = split.train.make_batch(&[0, 1]);
             let tape = Tape::new();

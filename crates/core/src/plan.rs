@@ -38,9 +38,9 @@
 //! holds the `Rc<FrozenPlan>` it was compiled from and the model compares
 //! pointers before every run.
 //!
-//! `SAGDFN_PLAN` (`auto`/`on`/`off`, default `auto` ≡ on) gates the
-//! planned path, mirroring `SAGDFN_SPARSE`; [`set_plan_mode`] flips it
-//! in-process for A/B benches and the determinism matrix.
+//! Every eligible eval forward runs planned; [`set_plan_mode`] is the one
+//! seam that switches to the interpreted oracle, for tests and A/B
+//! benches.
 //!
 //! [`Sagdfn::forward`]: crate::model::Sagdfn::forward
 
@@ -55,62 +55,49 @@ use sagdfn_obs as obs;
 use sagdfn_tensor::{alloc, matmul, simd, sparse};
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// Decoder covariate channels (time-of-day, day-of-week).
 const COV_CHANNELS: usize = INPUT_CHANNELS - 1;
 
 // ---------------------------------------------------------------------
-// SAGDFN_PLAN dispatch policy
+// Plan dispatch policy
 // ---------------------------------------------------------------------
 
 /// Whether eval forwards run through the compiled plan executor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlanMode {
-    /// Use the planned path whenever the forward is eligible (default).
-    Auto,
-    /// Same as `Auto`; named for symmetry with `SAGDFN_SPARSE=on`.
+    /// Run the planned path whenever the forward is eligible (default).
     On,
-    /// Always run the interpreted eval path.
+    /// Always run the interpreted eval path (the oracle).
     Off,
 }
 
-fn mode_flag() -> &'static AtomicU8 {
-    static FLAG: OnceLock<AtomicU8> = OnceLock::new();
-    FLAG.get_or_init(|| {
-        let mode = match std::env::var("SAGDFN_PLAN").as_deref() {
-            Ok("on") | Ok("1") => PlanMode::On,
-            Ok("off") | Ok("0") => PlanMode::Off,
-            _ => PlanMode::Auto,
-        };
-        AtomicU8::new(mode as u8)
-    })
-}
+static PLANNED: AtomicBool = AtomicBool::new(true);
 
-fn mode_from_u8(v: u8) -> PlanMode {
-    match v {
-        1 => PlanMode::On,
-        2 => PlanMode::Off,
-        _ => PlanMode::Auto,
+fn mode_from_bool(planned: bool) -> PlanMode {
+    if planned {
+        PlanMode::On
+    } else {
+        PlanMode::Off
     }
 }
 
-/// The current plan-dispatch mode (`SAGDFN_PLAN`, default `auto`).
+/// The current plan-dispatch mode (default [`PlanMode::On`]).
 pub fn plan_mode() -> PlanMode {
-    mode_from_u8(mode_flag().load(Ordering::Relaxed))
+    mode_from_bool(PLANNED.load(Ordering::Relaxed))
 }
 
 /// Sets the dispatch mode programmatically (benches and tests run
 /// in-process A/B comparisons), returning the previous mode.
 pub fn set_plan_mode(mode: PlanMode) -> PlanMode {
-    mode_from_u8(mode_flag().swap(mode as u8, Ordering::SeqCst))
+    mode_from_bool(PLANNED.swap(mode == PlanMode::On, Ordering::SeqCst))
 }
 
 /// Whether the planned path may run at all under the current mode.
 pub(crate) fn plan_enabled() -> bool {
-    plan_mode() != PlanMode::Off
+    PLANNED.load(Ordering::Relaxed)
 }
 
 // ---------------------------------------------------------------------
@@ -1089,8 +1076,6 @@ mod tests {
         assert!(!plan_enabled());
         set_plan_mode(PlanMode::On);
         assert_eq!(plan_mode(), PlanMode::On);
-        assert!(plan_enabled());
-        set_plan_mode(PlanMode::Auto);
         assert!(plan_enabled());
         set_plan_mode(prev);
     }

@@ -27,8 +27,8 @@
 //!    length; the index set stays frozen (no SNS resampling online).
 //!
 //! Everything is deterministic: the same model, anchor and tick sequence
-//! produce bit-identical forecasts regardless of `SAGDFN_THREADS` or
-//! `SAGDFN_PLAN` (the plan path is bit-identical to the taped eval path).
+//! produce bit-identical forecasts regardless of `SAGDFN_THREADS` or the
+//! plan mode (the plan path is bit-identical to the taped eval path).
 
 use crate::model::Sagdfn;
 use sagdfn_autodiff::Tape;

@@ -17,10 +17,10 @@
 //! Correctness contract: a micro-batched response is **bit-identical**
 //! to the same request forwarded alone (`tests/serve_batching.rs`
 //! proves this over random interleavings, batch caps, tenant mixes, and
-//! `SAGDFN_PLAN` / `SAGDFN_SIMD` modes). Every kernel in the stack is
-//! row-independent with a fixed per-output accumulation order, so batch
-//! column `b` reads exactly the values a `B = 1` forward of request `b`
-//! reads, in the same order.
+//! plan and SIMD modes). Every kernel in the stack is row-independent
+//! with a fixed per-output accumulation order, so batch column `b` reads
+//! exactly the values a `B = 1` forward of request `b` reads, in the same
+//! order.
 
 pub mod clock;
 pub mod engine;

@@ -23,9 +23,9 @@
 //! reached the heap allocator through [`acquire`]. `bench_train_step` reads
 //! deltas of this counter to report bytes-allocated-per-step.
 //!
-//! Recycling defaults to on and can be disabled with `SAGDFN_RECYCLE=0` or
-//! programmatically via [`set_recycling`] (used by benches for in-process
-//! A/B comparisons).
+//! Recycling is always on in production; [`set_recycling`] turns it off
+//! in-process for the tests and benches that A/B it against fresh
+//! allocation.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -56,23 +56,17 @@ fn free_list() -> &'static Mutex<FreeList> {
     })
 }
 
-fn recycling_flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| {
-        let on = std::env::var("SAGDFN_RECYCLE").map(|v| v != "0").unwrap_or(true);
-        AtomicBool::new(on)
-    })
-}
+static RECYCLING: AtomicBool = AtomicBool::new(true);
 
 /// Whether freed buffers are currently being recycled.
 pub fn recycling_enabled() -> bool {
-    recycling_flag().load(Ordering::Relaxed)
+    RECYCLING.load(Ordering::Relaxed)
 }
 
 /// Enables or disables buffer recycling, returning the previous setting.
 /// Disabling drains the free list so retained buffers go back to the heap.
 pub fn set_recycling(on: bool) -> bool {
-    let prev = recycling_flag().swap(on, Ordering::SeqCst);
+    let prev = RECYCLING.swap(on, Ordering::SeqCst);
     if !on {
         trim_pool();
     }
@@ -230,9 +224,6 @@ mod tests {
 
     #[test]
     fn acquire_recycles_freed_buffers() {
-        if !super::recycling_enabled() {
-            return; // respect SAGDFN_RECYCLE=0 runs
-        }
         // Use a size no other test allocates so concurrent tests cannot
         // steal the freed buffer out of the bucket between drop and acquire.
         const LEN: usize = 12_347;

@@ -6,9 +6,10 @@
 //! * a **feature probe** run once per process (`is_x86_feature_detected!`
 //!   / `is_aarch64_feature_detected!`, cached in a `OnceLock`), and
 //! * a **mode flag** read once from `SAGDFN_SIMD`
-//!   (`auto`/`avx512`/`avx2`/`neon`/`scalar`, default `auto`) and
-//!   adjustable in-process via [`set_simd_mode`] so tests and benches can
-//!   A/B the variants without re-exec'ing.
+//!   (`auto`/`avx2`/`neon`/`scalar`, default `auto`; `avx512` is the
+//!   widest tier and so parses to `auto`) and adjustable in-process via
+//!   [`set_simd_mode`] so tests and benches can A/B the variants without
+//!   re-exec'ing.
 //!
 //! A requested tier the hardware lacks clamps down to the best supported
 //! one (ultimately the scalar reference), never up — forcing `scalar` is
@@ -25,8 +26,6 @@ use std::sync::OnceLock;
 pub enum SimdMode {
     /// Probe the CPU and pick the widest supported tier.
     Auto,
-    /// Request the AVX-512 kernels (x86_64 with avx512f).
-    Avx512,
     /// Request the AVX2 kernels (x86_64).
     Avx2,
     /// Request the NEON kernels (aarch64).
@@ -115,7 +114,6 @@ fn mode_flag() -> &'static AtomicU8 {
     FLAG.get_or_init(|| {
         let mode = match std::env::var("SAGDFN_SIMD").as_deref() {
             Ok("scalar") | Ok("off") | Ok("0") => SimdMode::Scalar,
-            Ok("avx512") => SimdMode::Avx512,
             Ok("avx2") => SimdMode::Avx2,
             Ok("neon") => SimdMode::Neon,
             _ => SimdMode::Auto,
@@ -126,10 +124,9 @@ fn mode_flag() -> &'static AtomicU8 {
 
 fn mode_from_u8(v: u8) -> SimdMode {
     match v {
-        1 => SimdMode::Avx512,
-        2 => SimdMode::Avx2,
-        3 => SimdMode::Neon,
-        4 => SimdMode::Scalar,
+        1 => SimdMode::Avx2,
+        2 => SimdMode::Neon,
+        3 => SimdMode::Scalar,
         _ => SimdMode::Auto,
     }
 }
@@ -157,7 +154,6 @@ pub fn simd_tier() -> SimdTier {
     };
     let cap = match simd_mode() {
         SimdMode::Auto => SimdTier::Avx512,
-        SimdMode::Avx512 => SimdTier::Avx512,
         SimdMode::Avx2 => SimdTier::Avx2,
         SimdMode::Neon => SimdTier::Neon,
         SimdMode::Scalar => SimdTier::Scalar,
@@ -210,7 +206,7 @@ mod tests {
     #[test]
     fn requested_tier_never_exceeds_probe() {
         let f = cpu_features();
-        let prev = set_simd_mode(SimdMode::Avx512);
+        let prev = set_simd_mode(SimdMode::Auto);
         if !f.avx512f {
             assert_ne!(simd_tier(), SimdTier::Avx512);
         }

@@ -1850,7 +1850,7 @@ mod tests {
     fn assert_all_tiers_match(mut f: impl FnMut() -> Vec<f32>, what: &str) {
         let prev = set_simd_mode(SimdMode::Scalar);
         let reference = f();
-        for mode in [SimdMode::Neon, SimdMode::Avx2, SimdMode::Avx512, SimdMode::Auto] {
+        for mode in [SimdMode::Neon, SimdMode::Avx2, SimdMode::Auto] {
             set_simd_mode(mode);
             let got = f();
             assert_eq!(reference.len(), got.len(), "{what}: {mode:?} length");
@@ -2060,7 +2060,6 @@ mod tests {
             SimdMode::Scalar,
             SimdMode::Neon,
             SimdMode::Avx2,
-            SimdMode::Avx512,
             SimdMode::Auto,
         ] {
             let prev = set_simd_mode(mode);

@@ -43,12 +43,11 @@
 //! ascending shard order, which is precisely the unsharded column walk.
 //! `ShardedCsr` with one shard is bit-for-bit today's [`Csr`].
 //!
-//! Dispatch between the sparse and dense diffusion paths is controlled by
-//! `SAGDFN_SPARSE` (`auto`/`on`/`off`, mirroring `SAGDFN_RECYCLE`) via
-//! [`sparse_mode`] / [`set_sparse_mode`] and decided per adjacency shape
-//! and density by [`spmm_dispatch`], which picks one of three pipelines
-//! ([`SpmmDispatch`]): all-dense, all-CSR, or a hybrid that runs the
-//! products on the dense GEMMs but the adjacency gradient on the
+//! Dispatch between the sparse and dense diffusion paths is decided per
+//! adjacency shape and density by [`spmm_dispatch`] (tests and benches
+//! force a pipeline with [`set_sparse_mode`]), which picks one of three
+//! pipelines ([`SpmmDispatch`]): all-dense, all-CSR, or a hybrid that
+//! runs the products on the dense GEMMs but the adjacency gradient on the
 //! support-restricted CSR [`dadj`](Csr::dadj). The hybrid exists because
 //! the two kinds of work scale differently with density: a dense GEMM
 //! runs the products at full SIMD throughput regardless of zeros, so CSR
@@ -64,7 +63,6 @@ use crate::tensor::Tensor;
 use sagdfn_obs as obs;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 /// Below this many output elements a sparse product stays serial (same
 /// bar as the dense matmul kernels).
@@ -96,17 +94,7 @@ pub enum SparseMode {
     Off,
 }
 
-fn mode_flag() -> &'static AtomicU8 {
-    static FLAG: OnceLock<AtomicU8> = OnceLock::new();
-    FLAG.get_or_init(|| {
-        let mode = match std::env::var("SAGDFN_SPARSE").as_deref() {
-            Ok("on") | Ok("1") => SparseMode::On,
-            Ok("off") | Ok("0") => SparseMode::Off,
-            _ => SparseMode::Auto,
-        };
-        AtomicU8::new(mode as u8)
-    })
-}
+static MODE: AtomicU8 = AtomicU8::new(SparseMode::Auto as u8);
 
 fn mode_from_u8(v: u8) -> SparseMode {
     match v {
@@ -116,15 +104,15 @@ fn mode_from_u8(v: u8) -> SparseMode {
     }
 }
 
-/// The current sparse-dispatch mode (`SAGDFN_SPARSE`, default `auto`).
+/// The current sparse-dispatch mode (default [`SparseMode::Auto`]).
 pub fn sparse_mode() -> SparseMode {
-    mode_from_u8(mode_flag().load(Ordering::Relaxed))
+    mode_from_u8(MODE.load(Ordering::Relaxed))
 }
 
 /// Sets the dispatch mode programmatically (benches and tests run
 /// in-process A/B comparisons), returning the previous mode.
 pub fn set_sparse_mode(mode: SparseMode) -> SparseMode {
-    mode_from_u8(mode_flag().swap(mode as u8, Ordering::SeqCst))
+    mode_from_u8(MODE.swap(mode as u8, Ordering::SeqCst))
 }
 
 /// The pipeline [`spmm_dispatch`] selects for one adjacency state.

@@ -7,18 +7,20 @@
 //! In IEEE-754 terms nothing about the arithmetic changes, so a taped
 //! `Mode::Train` forward and a no-grad `Mode::Eval` forward must agree
 //! on the loss and *every* prediction under bitwise `f32` equality —
-//! across ablation variants, with the worker pool at 8 threads or on
-//! the serial path, and with buffer recycling on or off.
+//! across ablation variants, with the eval running planned or
+//! interpreted, with the worker pool at 8 threads or on the serial path,
+//! and with buffer recycling on or off.
 //!
 //! This binary pins `SAGDFN_THREADS=8` (the serial cases run through
 //! `pool::run_serial`), and serializes tests on one lock because the
-//! allocation and obs counters are process-global.
+//! allocation and obs counters and the plan and recycling modes are
+//! process-global.
 
 use sagdfn_repro::autodiff::Tape;
 use sagdfn_repro::data::{metr_la_like, Scale, SlidingWindows, SplitSpec, ThreeWaySplit};
 use sagdfn_repro::nn::{masked_mae, Mode};
 use sagdfn_repro::obs::{self, TraceMode};
-use sagdfn_repro::sagdfn::{trainer, Sagdfn, SagdfnConfig, Variant};
+use sagdfn_repro::sagdfn::{set_plan_mode, trainer, PlanMode, Sagdfn, SagdfnConfig, Variant};
 use sagdfn_repro::tensor::{alloc, pool};
 use std::sync::{Mutex, Once};
 
@@ -74,8 +76,9 @@ fn assert_same(
     assert_eq!(pred_a, pred_b, "{what}: predictions diverged");
 }
 
-/// The full matrix for one variant: taped vs no-grad, 8-thread pool vs
-/// serial, recycling on vs off — all bitwise-equal, eval records nothing.
+/// The full matrix for one variant: taped vs no-grad (planned and
+/// interpreted), 8-thread pool vs serial, recycling on vs off — all
+/// bitwise-equal, eval records nothing.
 fn check_variant(variant: Variant) {
     init_threads();
     let _lock = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -83,22 +86,28 @@ fn check_variant(variant: Variant) {
 
     let taped = forward_bits(&model, &split, false);
     assert!(taped.2 > 0, "train-mode forward must record the graph");
-    let eval = forward_bits(&model, &split, true);
-    assert_eq!(eval.2, 0, "no-grad eval must record zero tape nodes");
-    assert_same(&eval, &taped, "eval vs taped (pooled)");
-
     let serial_taped = pool::run_serial(|| forward_bits(&model, &split, false));
-    let serial_eval = pool::run_serial(|| forward_bits(&model, &split, true));
-    assert_eq!(serial_eval.2, 0);
     assert_same(&serial_taped, &taped, "serial taped vs pooled taped");
-    assert_same(&serial_eval, &taped, "serial eval vs pooled taped");
-
     let prev = alloc::set_recycling(!alloc::recycling_enabled());
     let toggled_taped = forward_bits(&model, &split, false);
-    let toggled_eval = forward_bits(&model, &split, true);
     alloc::set_recycling(prev);
     assert_same(&toggled_taped, &taped, "taped, recycling toggled");
-    assert_same(&toggled_eval, &taped, "eval, recycling toggled");
+
+    for plan in [PlanMode::On, PlanMode::Off] {
+        let prev_plan = set_plan_mode(plan);
+        let eval = forward_bits(&model, &split, true);
+        let serial_eval = pool::run_serial(|| forward_bits(&model, &split, true));
+        let prev = alloc::set_recycling(!alloc::recycling_enabled());
+        let toggled_eval = forward_bits(&model, &split, true);
+        alloc::set_recycling(prev);
+        set_plan_mode(prev_plan);
+
+        assert_eq!(eval.2, 0, "{plan:?} no-grad eval must record no tape nodes");
+        assert_eq!(serial_eval.2, 0);
+        assert_same(&eval, &taped, &format!("{plan:?} eval vs taped (pooled)"));
+        assert_same(&serial_eval, &taped, &format!("{plan:?} serial eval vs taped"));
+        assert_same(&toggled_eval, &taped, &format!("{plan:?} eval, recycling toggled"));
+    }
 }
 
 #[test]
@@ -148,21 +157,25 @@ fn eval_peak_memory_does_not_grow_with_split_length() {
         short.test.len()
     );
 
-    let peak_short = predict_peak(&model, &short.test, 8);
-    let peak_long = predict_peak(&model, &long.test, 8);
     // The (f, ΣB, N) prediction+target outputs legitimately scale with the
     // split; everything else — one batch's forward values plus the frozen
     // plan — must not. Compare the output-corrected peaks.
     let out_bytes = |w: &SlidingWindows| 2 * 4 * w.f() * w.len() * w.nodes();
-    let overhead_short = peak_short.saturating_sub(out_bytes(&short.test));
-    let overhead_long = peak_long.saturating_sub(out_bytes(&long.test));
-    assert!(
-        (overhead_long as f64) < (overhead_short as f64) * 1.5,
-        "eval overhead grew with split length: {overhead_short} -> {overhead_long} bytes \
-         ({} -> {} windows)",
-        short.test.len(),
-        long.test.len()
-    );
+    for plan in [PlanMode::On, PlanMode::Off] {
+        let prev = set_plan_mode(plan);
+        let peak_short = predict_peak(&model, &short.test, 8);
+        let peak_long = predict_peak(&model, &long.test, 8);
+        set_plan_mode(prev);
+        let overhead_short = peak_short.saturating_sub(out_bytes(&short.test));
+        let overhead_long = peak_long.saturating_sub(out_bytes(&long.test));
+        assert!(
+            (overhead_long as f64) < (overhead_short as f64) * 1.5,
+            "{plan:?} eval overhead grew with split length: {overhead_short} -> \
+             {overhead_long} bytes ({} -> {} windows)",
+            short.test.len(),
+            long.test.len()
+        );
+    }
 }
 
 #[test]
@@ -170,21 +183,25 @@ fn multi_batch_predict_reuses_the_frozen_plan() {
     init_threads();
     let _lock = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (model, split) = build(Variant::Full);
-    model.invalidate_plan();
-    let prev = obs::set_trace_mode(TraceMode::Counters);
-    let base = obs::snapshot();
-    let (preds, _) = trainer::predict(&model, &split.test, 4);
-    let delta = obs::snapshot().since(&base);
-    obs::set_trace_mode(prev);
-
-    assert!(preds.all_finite());
     let batches = split.test.len().div_ceil(4) as u64;
     assert!(batches >= 2, "need a multi-batch split");
-    assert_eq!(delta.stats(obs::Kernel::EvalStep).calls, batches);
-    assert_eq!(delta.plan_builds, 1, "exactly one adjacency build per sweep");
-    assert_eq!(
-        delta.plan_hits,
-        batches - 1,
-        "every subsequent batch must hit the plan cache"
-    );
+    for plan in [PlanMode::On, PlanMode::Off] {
+        model.invalidate_plan();
+        let prev_plan = set_plan_mode(plan);
+        let prev = obs::set_trace_mode(TraceMode::Counters);
+        let base = obs::snapshot();
+        let (preds, _) = trainer::predict(&model, &split.test, 4);
+        let delta = obs::snapshot().since(&base);
+        obs::set_trace_mode(prev);
+        set_plan_mode(prev_plan);
+
+        assert!(preds.all_finite());
+        assert_eq!(delta.stats(obs::Kernel::EvalStep).calls, batches);
+        assert_eq!(delta.plan_builds, 1, "{plan:?}: one adjacency build per sweep");
+        assert_eq!(
+            delta.plan_hits,
+            batches - 1,
+            "every subsequent batch must hit the plan cache ({plan:?})"
+        );
+    }
 }

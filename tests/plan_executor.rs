@@ -2,7 +2,7 @@
 //!
 //! The plan executor replays the exact eval forward as a linearized
 //! kernel schedule over pre-resolved buffer slots, so its output must be
-//! bit-identical to the interpreted no-grad eval (`SAGDFN_PLAN=off`) in
+//! bit-identical to the interpreted no-grad eval (`PlanMode::Off`) in
 //! every kernel configuration: scalar vs auto SIMD dispatch, sparse vs
 //! dense diffusion, pooled (8 threads) vs serial execution, and for both
 //! full and ragged tail batch shapes. On top of bit-identity, the
@@ -104,7 +104,7 @@ fn planned_once(model: &Sagdfn, split: &ThreeWaySplit) -> (u64, u64) {
     let base = obs::snapshot();
     assert!(
         model.planned_forward_into(&batch, split.scaler, &mut out),
-        "GRU backbone with SAGDFN_PLAN=on must take the planned path"
+        "GRU backbone with PlanMode::On must take the planned path"
     );
     let delta = obs::snapshot().since(&base);
     assert!(out.all_finite());

@@ -1,6 +1,9 @@
 //! Probabilistic-head contracts: monotone quantile rows, plan/tape
 //! bit-identity for every head kind, checkpoint round-trips, full
 //! gradient coverage, and a shrinking pinball loss.
+//!
+//! The plan mode is process-global, so every test holds `MODE_LOCK`: a
+//! test's `PlanMode::Off` arm must never land in another's planned run.
 
 use sagdfn_repro::{
     autodiff::Tape,
@@ -9,6 +12,9 @@ use sagdfn_repro::{
     sagdfn::{set_plan_mode, HeadKind, PlanMode, Sagdfn, SagdfnConfig},
     tensor::Tensor,
 };
+use std::sync::Mutex;
+
+static MODE_LOCK: Mutex<()> = Mutex::new(());
 
 fn quantile_cfg(n: usize) -> SagdfnConfig {
     let mut cfg = SagdfnConfig::for_scale(Scale::Tiny, n);
@@ -38,6 +44,7 @@ fn predict_bits(model: &Sagdfn, split: &ThreeWaySplit, mode: PlanMode) -> Vec<u3
 
 #[test]
 fn quantile_rows_are_monotone_everywhere() {
+    let _lock = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (model, split) = workload(HeadKind::Quantile);
     let batch = split.test.make_batch(&[0, 1, 2]);
     let mut out = Tensor::zeros(model.output_dims(4, 3).as_slice());
@@ -57,6 +64,7 @@ fn quantile_rows_are_monotone_everywhere() {
 
 #[test]
 fn every_head_is_bit_identical_across_plan_modes() {
+    let _lock = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for head in [HeadKind::Point, HeadKind::Quantile, HeadKind::Sampled] {
         let (model, split) = workload(head);
         let off = predict_bits(&model, &split, PlanMode::Off);
@@ -67,6 +75,7 @@ fn every_head_is_bit_identical_across_plan_modes() {
 
 #[test]
 fn probabilistic_heads_round_trip_through_checkpoints() {
+    let _lock = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join("sagdfn-head-ckpt");
     std::fs::create_dir_all(&dir).unwrap();
     for head in [HeadKind::Quantile, HeadKind::Sampled] {
@@ -103,6 +112,7 @@ fn probabilistic_heads_round_trip_through_checkpoints() {
 
 #[test]
 fn quantile_loss_reaches_every_parameter() {
+    let _lock = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (model, split) = workload(HeadKind::Quantile);
     let batch = split.train.make_batch(&[0, 1, 2]);
     let tape = Tape::new();
@@ -126,6 +136,7 @@ fn quantile_loss_reaches_every_parameter() {
 
 #[test]
 fn pinball_training_tightens_the_quantiles() {
+    let _lock = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (mut model, split) = workload(HeadKind::Quantile);
     let lr = model.config().lr;
     let taus = model.config().quantiles.clone();

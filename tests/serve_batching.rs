@@ -1,9 +1,9 @@
 //! The serving bit-exactness oracle: any interleaving of K forecast
 //! requests coalesced into micro-batches must return forecasts
 //! **bit-identical** to K independent unbatched eval forwards —
-//! across batch caps, tenant mixes, random pass ends, and
-//! `SAGDFN_PLAN` / `SAGDFN_SIMD` modes. A forward that panics costs
-//! only its own tenant: the other tenants keep answering bit-exactly.
+//! across batch caps, tenant mixes, random pass ends, and plan/SIMD
+//! modes. A forward that panics costs only its own tenant: the other
+//! tenants keep answering bit-exactly.
 //!
 //! Why this should hold (DESIGN.md §15): every kernel in the stack is
 //! row-independent with a fixed per-output accumulation order, the SIMD

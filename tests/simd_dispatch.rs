@@ -2,13 +2,17 @@
 //!
 //! Every SIMD tier is written to the scalar kernels' exact accumulation
 //! order (the 4-wide grouping contract, no FMA), so forcing
-//! `SAGDFN_SIMD=scalar` must reproduce the auto-dispatched run's loss and
+//! `SimdMode::Scalar` must reproduce the auto-dispatched run's loss and
 //! *every* parameter gradient under `f32` equality — with the buffer pool
 //! recycling on or off, and on the serial path as well as the pooled one.
 //! The Tiny preset's GEMMs are too small to leave the scalar-sized
 //! paths; the Small-preset case (N = 120) runs training's narrow shapes
 //! (c = 35, n = 16, one head column) through the masked edge tiles and
 //! the in-place `matmul_tn`.
+//!
+//! The SIMD mode and the recycling switch are process-global, so every
+//! test holds `MODE_LOCK`: one test's forced mode must never land in
+//! another's auto or baseline arm.
 
 use sagdfn_repro::autodiff::Tape;
 use sagdfn_repro::data::{city2000_like, metr_la_like, Scale, SplitSpec, ThreeWaySplit};
@@ -16,6 +20,9 @@ use sagdfn_repro::nn::loss::masked_mae;
 use sagdfn_repro::nn::Mode;
 use sagdfn_repro::sagdfn::{Sagdfn, SagdfnConfig};
 use sagdfn_repro::tensor::{alloc, pool, set_simd_mode, SimdMode, Tensor};
+use std::sync::Mutex;
+
+static MODE_LOCK: Mutex<()> = Mutex::new(());
 
 /// One forward + backward pass of the full Tiny-preset model under the
 /// given SIMD mode: returns the loss and every named parameter gradient.
@@ -70,6 +77,7 @@ fn assert_same(
 
 #[test]
 fn simd_and_scalar_runs_agree_exactly() {
+    let _lock = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let scalar = forward_backward(SimdMode::Scalar);
     let auto = forward_backward(SimdMode::Auto);
     assert_same(&auto, &scalar, "auto vs scalar");
@@ -77,6 +85,7 @@ fn simd_and_scalar_runs_agree_exactly() {
 
 #[test]
 fn small_preset_simd_and_scalar_runs_agree_exactly() {
+    let _lock = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let scalar = forward_backward_at(SimdMode::Scalar, Scale::Small);
     let auto = forward_backward_at(SimdMode::Auto, Scale::Small);
     assert_same(&auto, &scalar, "Small preset, auto vs scalar");
@@ -84,6 +93,7 @@ fn small_preset_simd_and_scalar_runs_agree_exactly() {
 
 #[test]
 fn simd_scalar_agreement_survives_recycling_toggle() {
+    let _lock = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let baseline = forward_backward(SimdMode::Scalar);
     let prev = alloc::set_recycling(!alloc::recycling_enabled());
     let auto = forward_backward(SimdMode::Auto);
@@ -95,6 +105,7 @@ fn simd_scalar_agreement_survives_recycling_toggle() {
 
 #[test]
 fn simd_scalar_agreement_holds_on_serial_path() {
+    let _lock = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let pooled = forward_backward(SimdMode::Auto);
     let serial_auto = pool::run_serial(|| forward_backward(SimdMode::Auto));
     let serial_scalar = pool::run_serial(|| forward_backward(SimdMode::Scalar));

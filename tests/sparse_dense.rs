@@ -2,9 +2,14 @@
 //!
 //! The CSR kernels skip terms that are exactly `0.0`; in IEEE-754 that
 //! can only flip zero signs, never change a magnitude, so forcing
-//! `SAGDFN_SPARSE=on` must reproduce the dense run's loss and *every*
+//! `SparseMode::On` must reproduce the dense run's loss and *every*
 //! parameter gradient under `f32` equality — with the buffer pool
-//! recycling on or off, and on the serial path as well as the pooled one.
+//! recycling on or off, on the serial path as well as the pooled one, and
+//! at every node-shard count.
+//!
+//! The sparse mode and the recycling switch are process-global, so every
+//! test holds `MODE_LOCK`: one test's forced mode must never land in
+//! another's baseline arm.
 
 use sagdfn_repro::autodiff::Tape;
 use sagdfn_repro::data::{metr_la_like, Scale, SplitSpec, ThreeWaySplit};
@@ -12,6 +17,9 @@ use sagdfn_repro::nn::loss::masked_mae;
 use sagdfn_repro::nn::Mode;
 use sagdfn_repro::sagdfn::{Sagdfn, SagdfnConfig};
 use sagdfn_repro::tensor::{alloc, pool, set_sparse_mode, SparseMode, Tensor};
+use std::sync::Mutex;
+
+static MODE_LOCK: Mutex<()> = Mutex::new(());
 
 /// One forward + backward pass of the full model under the given sparse
 /// mode: returns the loss and every named parameter gradient.
@@ -30,6 +38,9 @@ fn forward_backward_sharded(mode: SparseMode, shards: usize) -> (f32, Vec<(Strin
         cfg.shards = shards;
     }
     let model = Sagdfn::new(n, cfg);
+    if shards > 0 {
+        assert_eq!(model.shards(), shards, "cfg.shards must reach the model");
+    }
     let batch = split.train.make_batch(&[0, 1]);
 
     let tape = Tape::new();
@@ -66,6 +77,7 @@ fn assert_same(
 
 #[test]
 fn sparse_and_dense_runs_agree_exactly() {
+    let _lock = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dense = forward_backward(SparseMode::Off);
     let sparse = forward_backward(SparseMode::On);
     assert_same(&sparse, &dense, "sparse vs dense");
@@ -78,16 +90,22 @@ fn sparse_and_dense_runs_agree_exactly() {
 
 #[test]
 fn node_sharded_training_is_bit_identical() {
+    let _lock = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Node sharding (DESIGN.md §14) is a memory-layout decision only:
-    // with the CSR path forced on, shards = 1 and shards = 4 must agree
-    // on the loss and every gradient end to end.
-    let unsharded = forward_backward_sharded(SparseMode::On, 1);
-    let sharded = forward_backward_sharded(SparseMode::On, 4);
-    assert_same(&sharded, &unsharded, "shards=4 vs shards=1");
+    // under every sparse mode, shards = 1 and shards = 4 must agree on
+    // the loss and every gradient end to end.
+    let reference = forward_backward_sharded(SparseMode::On, 1);
+    for mode in [SparseMode::On, SparseMode::Off, SparseMode::Auto] {
+        for shards in [1, 4] {
+            let got = forward_backward_sharded(mode, shards);
+            assert_same(&got, &reference, &format!("{mode:?}, shards={shards}"));
+        }
+    }
 }
 
 #[test]
 fn sparse_dense_agreement_survives_recycling_toggle() {
+    let _lock = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let baseline = forward_backward(SparseMode::Off);
     let prev = alloc::set_recycling(!alloc::recycling_enabled());
     let sparse = forward_backward(SparseMode::On);
@@ -99,6 +117,7 @@ fn sparse_dense_agreement_survives_recycling_toggle() {
 
 #[test]
 fn sparse_dense_agreement_holds_on_serial_path() {
+    let _lock = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let pooled = forward_backward(SparseMode::On);
     let serial_sparse = pool::run_serial(|| forward_backward(SparseMode::On));
     let serial_dense = pool::run_serial(|| forward_backward(SparseMode::Off));

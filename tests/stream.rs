@@ -1,9 +1,9 @@
 //! Streaming-engine contracts: forecasts pinned bit-for-bit against a
-//! committed fixture (the check.sh matrix reruns this suite under
-//! SAGDFN_THREADS={1,8} x SAGDFN_PLAN={on,off}, so the fixture is what
-//! makes those runs comparable), zero steady-state allocator traffic,
-//! scaler drift rebinding instead of recompiling, and drift scenarios
-//! flagged then absorbed.
+//! committed fixture under both plan modes (check.sh reruns this suite
+//! under SAGDFN_THREADS={1,8}, so the fixture is what makes those runs
+//! comparable), zero steady-state allocator traffic, scaler drift
+//! rebinding instead of recompiling, and drift scenarios flagged then
+//! absorbed.
 //!
 //! Regenerate the fixture (only with an intentional numeric change):
 //! `SAGDFN_WRITE_STREAM_GOLDEN=tests/fixtures/golden_stream.txt \
@@ -56,9 +56,9 @@ fn fnv1a(bits: impl Iterator<Item = u32>) -> u64 {
     h
 }
 
-#[test]
-fn stream_forecasts_match_the_committed_fixture() {
-    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+/// The fixture line for one replay of the workload under the current
+/// plan mode.
+fn fixture_line() -> String {
     let (mut engine, ticks) = workload();
     // Hash the forecast after every tick past warm-up, so the fixture
     // pins the whole trajectory (ring rotation, scaler drift, rebound
@@ -75,27 +75,33 @@ fn stream_forecasts_match_the_committed_fixture() {
         .map(|h| format!("{h:016x}"))
         .collect::<Vec<_>>()
         .join(" ");
-    let got = format!("stream {got}\n");
+    format!("stream {got}\n")
+}
+
+#[test]
+fn stream_forecasts_match_the_committed_fixture() {
+    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     if let Ok(path) = std::env::var("SAGDFN_WRITE_STREAM_GOLDEN") {
-        std::fs::write(&path, &got).expect("write fixture");
+        std::fs::write(&path, fixture_line()).expect("write fixture");
         println!("wrote golden stream fixture to {path}");
         return;
     }
     let want = std::fs::read_to_string(FIXTURE).expect("read committed fixture");
-    assert_eq!(
-        want, got,
-        "streaming forecast bits drifted from the committed fixture \
-         (dispatch mode must not change online forecasts)"
-    );
+    for plan in [PlanMode::On, PlanMode::Off] {
+        let prev = set_plan_mode(plan);
+        let got = fixture_line();
+        set_plan_mode(prev);
+        assert_eq!(
+            want, got,
+            "streaming forecast bits drifted from the committed fixture under {plan:?} \
+             (dispatch mode must not change online forecasts)"
+        );
+    }
 }
 
 #[test]
 fn steady_state_ticks_rebind_without_recompiling_or_allocating() {
     let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // The zero-acquire/rebind contract is the plan executor's; pin it on
-    // so the matrix rerun under SAGDFN_PLAN=off still tests it (the
-    // interpreted path allocates by design).
-    let prev_plan = set_plan_mode(PlanMode::On);
     let prev = obs::set_trace_mode(obs::TraceMode::Counters);
     let (mut engine, ticks) = workload();
     // Warm up: fill the ring, compile the plan, size the slabs.
@@ -110,7 +116,6 @@ fn steady_state_ticks_rebind_without_recompiling_or_allocating() {
     }
     let delta = obs::snapshot().since(&before);
     obs::set_trace_mode(prev);
-    set_plan_mode(prev_plan);
     assert_eq!(delta.stream_ticks, steady as u64);
     assert_eq!(
         delta.alloc_acquires, 0,
@@ -177,7 +182,10 @@ fn level_shift_is_flagged_then_absorbed() {
 #[test]
 fn fine_tuning_streams_stay_deterministic() {
     let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let run = || {
+    // Each burst replaces the weights the plan was compiled from; the
+    // recompiled planned forecasts must match the interpreted ones.
+    let run = |plan: PlanMode| {
+        let prev = set_plan_mode(plan);
         let (engine, ticks) = workload();
         let mut cfg = *engine.config();
         cfg.fine_tune = true;
@@ -196,14 +204,15 @@ fn fine_tuning_streams_stay_deterministic() {
             .iter()
             .map(|v| v.to_bits())
             .collect();
+        set_plan_mode(prev);
         (bursts, engine.model().iterations(), bits)
     };
-    let (bursts_a, iters_a, bits_a) = run();
-    let (bursts_b, iters_b, bits_b) = run();
+    let (bursts_a, iters_a, bits_a) = run(PlanMode::On);
+    let (bursts_b, iters_b, bits_b) = run(PlanMode::Off);
     assert!(bursts_a > 0, "fine-tune bursts must fire on cadence");
     assert_eq!(iters_a as u64, bursts_a, "each burst is one bounded gradient step");
     assert_eq!((bursts_a, iters_a), (bursts_b, iters_b));
-    assert_eq!(bits_a, bits_b, "continual fine-tuning must be deterministic");
+    assert_eq!(bits_a, bits_b, "fine-tuned forecasts must not depend on the plan mode");
 }
 
 #[test]
